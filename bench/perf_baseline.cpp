@@ -1,31 +1,27 @@
-// Perf baseline: the snapshot/reset trial fast path, fresh construction,
-// and the fast-forward execution core.
+// Perf baseline: the snapshot/reset trial fast path vs fresh construction.
 //
 // For each requested registry attack this harness times the same RunSpec
-// four ways:
-//   fresh_jobs1  — reuse_machine off, fast-forward off, --jobs 1 (the
-//                  everything-structural floor)
-//   reset_jobs1  — pooled snapshot reset, fast-forward off, --jobs 1 (the
-//                  PR-4 baseline the fast-forward speedup is measured from)
-//   ff_jobs1     — pooled reset + fast-forward, --jobs 1 (the shipping
-//                  default path)
-//   reset_jobsN  — pooled reset + fast-forward at the requested --jobs
-// and reports host trials/sec, simulated cycles/sec, the reset-vs-fresh
-// speedup and the fast-forward-vs-reset speedup. Results (bytes decoded,
-// probes, ToTE, PMU) are bit-identical across every cell —
-// tests/test_machine_reset.cpp and tests/test_fast_forward.cpp pin that —
-// so this table is purely about host throughput; the --json trajectory
-// (BENCH_perf.json under ctest) is the regression record for it.
-// docs/PERFORMANCE.md explains how to read each column.
+// three ways:
+//   fresh_jobs1  — reuse_machine off, --jobs 1 (machine construction per
+//                  trial)
+//   reset_jobs1  — pooled snapshot reset, --jobs 1 (the shipping default
+//                  path)
+//   reset_jobsN  — pooled snapshot reset at the requested --jobs
+// and reports host trials/sec, simulated cycles/sec and the
+// reset-vs-fresh speedup. Results (bytes decoded, probes, ToTE, PMU) are
+// bit-identical across every cell — tests/test_machine_reset.cpp pins
+// that — so this table is purely about host throughput; the --json
+// trajectory (BENCH_perf.json under ctest) is the regression record for
+// it. docs/PERFORMANCE.md explains how to read each column.
 //
-// Extra flags on top of the shared harness set (see bench_util.h):
+// Flags (any other --flag exits 2):
 //   --attacks LIST     comma-separated registry names (default: all)
 //   --trials N         trials per measurement (default 16)
 //   --bytes N          payload bytes per channel trial (default 2)
 //   --batches N        argmax batches per byte (default 1; kaslr: rounds)
-//   --no-fast-forward  run the ff_jobs1 and reset_jobsN cells structurally
-//                      too (identity control: ff_jobs1 ≈ reset_jobs1);
-//                      --fast-forward restates the default
+//   --jobs N, --progress, --json PATH, --metrics-out PATH  as in
+//                      bench_util.h
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -46,8 +42,23 @@ struct PerfArgs {
   int trials = 16;
   std::size_t bytes = 2;
   int batches = 1;
-  bool fast_forward = true;
 };
+
+/// The first --flag perf_baseline does not read ("" when none). A valued
+/// flag's argument is skipped.
+std::string unknown_flag(int argc, char** argv) {
+  static const std::vector<std::string> kValued = {
+      "--attacks", "--trials", "--bytes", "--batches",
+      "--jobs",    "--json",   "--metrics-out"};
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) != 0 || a == "--progress") continue;
+    if (std::find(kValued.begin(), kValued.end(), a) == kValued.end())
+      return a;
+    ++i;
+  }
+  return "";
+}
 
 PerfArgs parse_perf_args(int argc, char** argv) {
   PerfArgs out;
@@ -69,10 +80,6 @@ PerfArgs parse_perf_args(int argc, char** argv) {
       out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (a == "--batches" && i + 1 < argc) {
       out.batches = std::atoi(argv[++i]);
-    } else if (a == "--no-fast-forward") {
-      out.fast_forward = false;
-    } else if (a == "--fast-forward") {
-      out.fast_forward = true;
     }
   }
   return out;
@@ -87,10 +94,9 @@ struct Measurement {
   double sim_cycles_per_sec = 0.0;
 };
 
-Measurement measure(runner::RunSpec spec, bool reuse, bool ff, int jobs,
+Measurement measure(runner::RunSpec spec, bool reuse, int jobs,
                     bool progress) {
   spec.reuse_machine = reuse;
-  spec.fast_forward = ff;
   runner::Executor ex(jobs);
   const runner::RunResult r = runner::run(spec, ex, progress);
   Measurement m;
@@ -107,18 +113,12 @@ Measurement measure(runner::RunSpec spec, bool reuse, bool ff, int jobs,
 
 struct Row {
   std::string attack;
-  Measurement fresh1;   // fresh construction, ff off, --jobs 1
-  Measurement reset1;   // pooled reset, ff off, --jobs 1
-  Measurement ff1;      // pooled reset + fast-forward, --jobs 1
-  Measurement reset_n;  // pooled reset + fast-forward, --jobs N
+  Measurement fresh1;   // fresh construction, --jobs 1
+  Measurement reset1;   // pooled reset, --jobs 1
+  Measurement reset_n;  // pooled reset, --jobs N
   [[nodiscard]] double speedup() const {
     return fresh1.trials_per_sec > 0.0
                ? reset1.trials_per_sec / fresh1.trials_per_sec
-               : 0.0;
-  }
-  [[nodiscard]] double ff_speedup() const {
-    return reset1.trials_per_sec > 0.0
-               ? ff1.trials_per_sec / reset1.trials_per_sec
                : 0.0;
   }
 };
@@ -137,6 +137,10 @@ void json_measurement(runner::JsonWriter& w, const Measurement& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const std::string bad = unknown_flag(argc, argv); !bad.empty()) {
+    std::fprintf(stderr, "perf_baseline: unknown flag '%s'\n", bad.c_str());
+    return 2;
+  }
   const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
   const PerfArgs perf = parse_perf_args(argc, argv);
 
@@ -151,8 +155,8 @@ int main(int argc, char** argv) {
   }
   const int jobs_n = runner::resolve_jobs(args.jobs);
 
-  bench::heading("Perf baseline — fast-forward core and machine reset fast "
-                 "path vs fresh construction");
+  bench::heading("Perf baseline — machine reset fast path vs fresh "
+                 "construction");
 
   std::vector<Row> rows;
   for (const std::string& attack : attacks) {
@@ -166,38 +170,28 @@ int main(int argc, char** argv) {
 
     Row row;
     row.attack = attack;
-    row.fresh1 = measure(spec, /*reuse=*/false, /*ff=*/false, /*jobs=*/1,
-                         args.progress);
-    row.reset1 = measure(spec, /*reuse=*/true, /*ff=*/false, /*jobs=*/1,
-                         args.progress);
-    row.ff1 = measure(spec, /*reuse=*/true, perf.fast_forward, /*jobs=*/1,
-                      args.progress);
+    row.fresh1 = measure(spec, /*reuse=*/false, /*jobs=*/1, args.progress);
+    row.reset1 = measure(spec, /*reuse=*/true, /*jobs=*/1, args.progress);
     row.reset_n = jobs_n == 1
-                      ? row.ff1
-                      : measure(spec, /*reuse=*/true, perf.fast_forward,
-                                jobs_n, args.progress);
+                      ? row.reset1
+                      : measure(spec, /*reuse=*/true, jobs_n, args.progress);
     rows.push_back(row);
   }
 
-  std::printf("%-7s %11s %11s %11s %8s %8s %11s %11s\n", "attack",
-              "fresh t/s", "reset t/s", "ff t/s", "reset-x", "ff-x",
-              "Mcyc/s ff",
-              ("ff t/s j" + std::to_string(jobs_n)).c_str());
-  std::printf("%s\n", std::string(84, '-').c_str());
+  std::printf("%-7s %11s %11s %8s %11s %11s\n", "attack", "fresh t/s",
+              "reset t/s", "reset-x", "Mcyc/s",
+              ("reset t/s j" + std::to_string(jobs_n)).c_str());
+  std::printf("%s\n", std::string(64, '-').c_str());
   for (const Row& r : rows) {
-    std::printf("%-7s %11.1f %11.1f %11.1f %7.2fx %7.2fx %11.1f %11.1f\n",
+    std::printf("%-7s %11.1f %11.1f %7.2fx %11.1f %11.1f\n",
                 r.attack.c_str(), r.fresh1.trials_per_sec,
-                r.reset1.trials_per_sec, r.ff1.trials_per_sec, r.speedup(),
-                r.ff_speedup(), r.ff1.sim_cycles_per_sec / 1e6,
-                r.reset_n.trials_per_sec);
+                r.reset1.trials_per_sec, r.speedup(),
+                r.reset1.sim_cycles_per_sec / 1e6, r.reset_n.trials_per_sec);
   }
   std::printf("\n(%d trials per cell, %zu payload bytes, %d batches; every "
               "cell produces bit-identical\n results — the deltas are machine "
-              "construction vs snapshot reset, and the\n cycle-by-cycle "
-              "pipeline vs the fast-forward core%s)\n",
-              perf.trials, perf.bytes, perf.batches,
-              perf.fast_forward ? "" : " [--no-fast-forward: ff cells ran "
-                                       "structurally]");
+              "construction vs snapshot reset)\n",
+              perf.trials, perf.bytes, perf.batches);
 
   if (!args.json.empty()) {
     runner::JsonWriter w;
@@ -220,14 +214,10 @@ int main(int argc, char** argv) {
       json_measurement(w, r.fresh1);
       w.key("reset_jobs1");
       json_measurement(w, r.reset1);
-      w.key("ff_jobs1");
-      json_measurement(w, r.ff1);
       w.key("reset_jobsN");
       json_measurement(w, r.reset_n);
       w.key("speedup");
       w.value(r.speedup());
-      w.key("ff_speedup");
-      w.value(r.ff_speedup());
       w.end_object();
     }
     w.end_array();
@@ -257,12 +247,9 @@ int main(int argc, char** argv) {
                     r.fresh1.trials_per_sec);
       reg.set_gauge(r.attack + ".reset_jobs1.trials_per_sec",
                     r.reset1.trials_per_sec);
-      reg.set_gauge(r.attack + ".ff_jobs1.trials_per_sec",
-                    r.ff1.trials_per_sec);
       reg.set_gauge(r.attack + ".reset_jobsN.trials_per_sec",
                     r.reset_n.trials_per_sec);
       reg.set_gauge(r.attack + ".speedup", r.speedup());
-      reg.set_gauge(r.attack + ".ff_speedup", r.ff_speedup());
     }
     bench::write_metrics(reg, args.metrics_out);
   }

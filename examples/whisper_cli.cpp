@@ -12,7 +12,7 @@
 //                       [--noise PROFILE] [--adaptive]
 //                       [--retries R] [--trial-cycle-budget C]
 //                       [--trial-wall-budget SECONDS] [--fault-plan PLAN]
-//                       [--verify-reset] [--no-fast-forward]
+//                       [--verify-reset]
 //                       [--trace-out PATH] [--metrics-out PATH]
 //   whisper_cli chaos   [--attack NAME] [--defense SPEC]... [--cpu N]
 //                       [--trials T] [--jobs J]
@@ -69,11 +69,9 @@
 // (JSON, or CSV when the path ends in .csv). docs/REPRODUCING.md
 // ("Inspecting a run") walks through both.
 //
-// Fast-forward (docs/PERFORMANCE.md) is on by default everywhere: the core
-// skips provably inert cycle spans with results byte-identical to the
-// cycle-by-cycle pipeline. --no-fast-forward forces the structural path
-// (accepted by every command; --fast-forward restates the default). Use it
-// only to cross-check identity or to profile the full pipeline walk.
+// Every command refuses a --flag it does not read (exit 2, naming the
+// flag), so a typo or a retired flag cannot silently run the defaults.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -129,12 +127,6 @@ uarch::CpuModel cpu_from(const Args& args) {
   return models[static_cast<std::size_t>(n) % models.size()];
 }
 
-/// --no-fast-forward wins over the (default) --fast-forward; both are
-/// accepted so scripts can be explicit either way.
-bool fast_forward_from(const Args& args) {
-  return !args.has("--no-fast-forward");
-}
-
 /// The repeatable --defense flag plus the legacy --kpti/--flare/--fgkaslr
 /// aliases, as one DefenseSpec stack. Shared by every command that builds a
 /// machine or a RunSpec.
@@ -156,7 +148,6 @@ void apply_fault_flags(runner::RunSpec& spec, const Args& args) {
   spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
   spec.fault_plan = args.value("--fault-plan", "");
   spec.verify_reset = args.has("--verify-reset");
-  spec.fast_forward = fast_forward_from(args);
 }
 
 bool write_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
@@ -202,7 +193,6 @@ int cmd_models() {
 
 int cmd_tote(const Args& args) {
   os::Machine m({.model = cpu_from(args)});
-  m.core().set_fast_forward(fast_forward_from(args));
   m.poke8(os::Machine::kSharedBase, 'S');
   const auto g = core::make_tet_gadget(
       {.window = core::preferred_window(m.config()),
@@ -285,7 +275,6 @@ int cmd_leak(const Args& args) {
   mo.noise = *profile;
   defense::apply(defenses_from(args), mo);
   os::Machine m(mo);
-  m.core().set_fast_forward(fast_forward_from(args));
 
   const std::string secret_str = args.value("--secret", "hunter2");
   const std::vector<std::uint8_t> secret(secret_str.begin(),
@@ -346,7 +335,6 @@ int cmd_kaslr(const Args& args) {
     const std::vector<defense::DefenseSpec> stack = defenses_from(args);
     defense::apply(stack, opts);
     os::Machine m(opts);
-    m.core().set_fast_forward(fast_forward_from(args));
     obs::EventLog log;
     if (!trace_out.empty()) m.core().set_trace(&log);
     const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
@@ -442,7 +430,6 @@ int cmd_chaos(const Args& args) {
   spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
   spec.fault_plan =
       args.value("--fault-plan", "throw@2;corrupt@5;stall@8");
-  spec.fast_forward = fast_forward_from(args);
   const int jobs = std::stoi(args.value("--jobs", "4"));
 
   runner::RunSpec clean = spec;
@@ -512,7 +499,6 @@ int cmd_matrix(const Args& args) {
       spec.payload_bytes = 4;
       spec.batches = 4;
       spec.rounds = 2;
-      spec.fast_forward = fast_forward_from(args);
       specs.push_back(spec);
     }
 
@@ -627,12 +613,82 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
+/// The flags one command reads: switches stand alone, valued flags take
+/// the next argument.
+struct CommandFlags {
+  std::string command;
+  std::vector<std::string> switches;
+  std::vector<std::string> valued;
+};
+
+const std::vector<CommandFlags>& command_flags() {
+  // defenses_from() reads --defense and the legacy alias switches;
+  // apply_fault_flags() reads the fault-tolerance knobs.
+  static const std::vector<CommandFlags> table = {
+      {"tote", {"--trigger", "--no-trigger", "--trace"},
+       {"--cpu", "--trace-out", "--metrics-out"}},
+      {"leak", {"--adaptive", "--kpti", "--flare", "--fgkaslr"},
+       {"--cpu", "--secret", "--attack", "--defense", "--noise",
+        "--confidence", "--budget", "--trace-out", "--metrics-out"}},
+      {"kaslr", {"--adaptive", "--kpti", "--flare", "--fgkaslr",
+                 "--verify-reset"},
+       {"--cpu", "--defense", "--seed", "--trials", "--jobs", "--json",
+        "--noise", "--retries", "--trial-cycle-budget",
+        "--trial-wall-budget", "--fault-plan", "--trace-out",
+        "--metrics-out"}},
+      {"chaos", {"--kpti", "--flare", "--fgkaslr"},
+       {"--attack", "--defense", "--cpu", "--trials", "--jobs", "--seed",
+        "--retries", "--fault-plan", "--trial-cycle-budget",
+        "--trial-wall-budget", "--json"}},
+      {"matrix", {}, {"--jobs"}},
+      {"sweep", {"--adaptive", "--kpti", "--flare", "--fgkaslr",
+                 "--verify-reset", "--verify"},
+       {"--endpoints", "--attack", "--cpu", "--trials", "--seed",
+        "--defense", "--noise", "--chunk", "--deadline-ms",
+        "--connect-timeout-ms", "--failures", "--flaky-plan", "--json",
+        "--jobs", "--retries", "--trial-cycle-budget", "--trial-wall-budget",
+        "--fault-plan"}},
+      {"attacks", {}, {}},
+      {"defenses", {}, {}},
+      {"models", {}, {}},
+  };
+  return table;
+}
+
+/// The first --flag in `args` that `cmd` does not read ("" when none). A
+/// valued flag's argument is skipped, so values may start with "--".
+std::string unknown_flag(const std::string& cmd, const Args& args) {
+  const CommandFlags* flags = nullptr;
+  for (const CommandFlags& c : command_flags())
+    if (c.command == cmd) flags = &c;
+  if (flags == nullptr) return "";  // unknown command: usage handles it
+  auto listed = [](const std::vector<std::string>& v, const std::string& a) {
+    return std::find(v.begin(), v.end(), a) != v.end();
+  };
+  const std::vector<std::string>& argv = args.positional;
+  for (std::size_t i = 0; i < argv.size(); ++i) {
+    const std::string& a = argv[i];
+    if (a.rfind("--", 0) != 0 || a == "--list-attacks") continue;
+    if (listed(flags->valued, a)) {
+      ++i;
+    } else if (!listed(flags->switches, a)) {
+      return a;
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
   Args args;
   for (int i = 2; i < argc; ++i) args.positional.emplace_back(argv[i]);
   const std::string cmd = argc > 1 ? argv[1] : "";
+  if (const std::string bad = unknown_flag(cmd, args); !bad.empty()) {
+    std::fprintf(stderr, "whisper_cli %s: unknown flag '%s'\n", cmd.c_str(),
+                 bad.c_str());
+    return 2;
+  }
   if (cmd == "--list-attacks" || args.has("--list-attacks") ||
       cmd == "attacks")
     return cmd_attacks();

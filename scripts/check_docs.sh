@@ -20,9 +20,9 @@
 #      --retries, ...) — the CLI is the guide's primary entry point.
 #   8. docs/PERFORMANCE.md must exist and document every measurement-cell
 #      and speedup key bench/perf_baseline.cpp writes into BENCH_perf.json
-#      (fresh_jobs1, reset_jobs1, ff_jobs1, reset_jobsN, speedup,
-#      ff_speedup, ...) — the column glossary may not drift from the
-#      harness's actual output keys.
+#      (fresh_jobs1, reset_jobs1, reset_jobsN, speedup, ...) — the
+#      column glossary may not drift from the harness's actual output
+#      keys.
 #   9. The whisper_serve daemon's surface must be documented: every
 #      protocol verb in src/serve/protocol.h's kVerbs array, every flag
 #      examples/whisper_serve.cpp parses, and every flag

@@ -100,7 +100,6 @@ std::string run_request_json(std::uint64_t id, const runner::RunSpec& spec,
   append_double(out, spec.confidence_threshold);
   out += ",\"batch_budget\":" + std::to_string(spec.batch_budget);
   out += ",\"reuse_machine\":" + std::string(bool_str(spec.reuse_machine));
-  out += ",\"fast_forward\":" + std::string(bool_str(spec.fast_forward));
   out += ",\"retries\":" + std::to_string(spec.retries);
   out += ",\"trial_cycle_budget\":" + std::to_string(spec.trial_cycle_budget);
   out += ",\"trial_wall_budget\":";

@@ -21,9 +21,9 @@
 // and the pool key rely on (tests/test_defense.cpp pins both directions).
 //
 // Every defense applies at machine-construction time only (options rewrite,
-// never a mutation of a live machine), so snapshot()/reset() and
-// fast-forward identity — invariants 8 and 10 — hold with any defense stack
-// active.
+// never a mutation of a live machine), so snapshot()/reset() identity and
+// the recorded scheduler corpus — invariants 8 and 10 — hold with any
+// defense stack active.
 #pragma once
 
 #include <cstdint>

@@ -189,6 +189,18 @@ std::uint64_t NoiseEngine::on_cycle(std::uint64_t cycle) {
   return 0;
 }
 
+std::uint64_t NoiseEngine::next_tick(std::uint64_t cycle) const {
+  std::uint64_t next = ~std::uint64_t{0};
+  auto due = [&](double intensity, std::uint64_t at) {
+    if (intensity > 0.0)
+      next = std::min(next, at == 0 ? cycle : std::max(at, cycle));
+  };
+  due(dvfs_i_, dvfs_next_);
+  due(tlb_i_, tlb_next_);
+  due(timer_i_, timer_next_);
+  return next;
+}
+
 int NoiseEngine::on_access(const mem::AccessRequest& req,
                            const mem::AccessResult& res) {
   int extra = 0;

@@ -118,6 +118,11 @@ class NoiseEngine final : public mem::MemInterference,
   /// uarch::CoreInterference: fires due DVFS steps and TLB shootdowns, and
   /// returns a timer-interrupt handler cost when one is due (0 otherwise).
   std::uint64_t on_cycle(std::uint64_t cycle) override;
+  /// uarch::CoreInterference: the earliest due time of the DVFS, TLB and
+  /// timer schedules (`cycle` itself while one is still unscheduled).
+  /// Between ticks on_cycle only records the cycle for on_access, and the
+  /// core steps every cycle that reaches on_access.
+  [[nodiscard]] std::uint64_t next_tick(std::uint64_t cycle) const override;
 
   /// Return the engine to its post-construction state for a new trial:
   /// counters zeroed, scheduling state cleared, the noise stream re-derived

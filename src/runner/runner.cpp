@@ -184,12 +184,6 @@ TrialResult attack_phase(const RunSpec& spec, const core::AttackInfo& info,
   TrialResult t;
   t.seed = seed;
 
-  // The fast-forward knob is sticky on the core (it survives reset()), so
-  // both the fresh and the pooled path must stamp the spec's choice before
-  // the attack runs — a pooled machine may have last served a spec with the
-  // other setting.
-  m.core().set_fast_forward(spec.fast_forward);
-
   // Observability: PMU deltas (and optionally the full event log) over the
   // attack phase. Attaching the log must not perturb the run —
   // tests/test_obs.cpp checks the results stay byte-identical.

@@ -104,14 +104,6 @@ struct RunSpec {
   /// against each other by flipping it.
   bool reuse_machine = true;
 
-  /// Fast-forward execution mode (docs/PERFORMANCE.md): the core skips
-  /// provably inert cycle spans in closed form instead of stepping the
-  /// structural pipeline through them. Byte-identical either way —
-  /// invariant 10 (docs/ARCHITECTURE.md), pinned across attacks × models ×
-  /// noise by tests/test_machine_reset.cpp and tests/test_fast_forward.cpp
-  /// — so it is on by default; bench/perf_baseline flips it to measure.
-  bool fast_forward = true;
-
   // --- Fault tolerance (docs/ARCHITECTURE.md "Failure semantics") ---------
   /// Extra attempts per failed trial. Retries reuse the trial's own
   /// trial_seed/payload_seed, so a recovered run is bit-identical to one

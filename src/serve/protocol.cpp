@@ -1,8 +1,12 @@
 #include "serve/protocol.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <system_error>
+#include <type_traits>
 
 #include "core/attacks/registry.h"
 #include "defense/defense.h"
@@ -262,8 +266,8 @@ class Parser {
     }
     JsonValue v;
     v.type = JsonValue::Type::Number;
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                           nullptr);
+    v.literal = std::string(text_.substr(start, pos_ - start));
+    v.number = std::strtod(v.literal.c_str(), nullptr);
     return v;
   }
 
@@ -285,20 +289,44 @@ double want_number(const JsonValue& v, const char* field) {
   return v.number;
 }
 
-std::uint64_t want_u64(const JsonValue& v, const char* field) {
+/// The exact value of an integer field of type T. A plain integer literal
+/// is parsed digit for digit; one with a fraction or an exponent must still
+/// name an integer, below 2^53 where its double is exact. Values outside T
+/// are refused, never wrapped or rounded.
+template <typename T>
+T want_integer(const JsonValue& v, const char* field, const char* kind) {
   const double d = want_number(v, field);
-  if (d < 0 || d != std::floor(d))
-    throw ProtocolError(std::string("field '") + field +
-                        "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+  auto refuse = [&](const char* why) -> T {
+    throw ProtocolError(std::string("field '") + field + "' " + why);
+  };
+  const std::string& text = v.literal;
+  if (text.find_first_of(".eE") == std::string::npos) {
+    if (std::is_unsigned_v<T> && text.front() == '-')
+      return d == 0 ? T{0} : refuse(kind);  // "-0" is zero
+    T out{};
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+    if (ec == std::errc::result_out_of_range) return refuse("is out of range");
+    if (ec != std::errc() || ptr != last) return refuse(kind);
+    return out;
+  }
+  if (d != std::floor(d) || (std::is_unsigned_v<T> && d < 0))
+    return refuse(kind);
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (std::fabs(d) >= kExact ||
+      d < static_cast<double>(std::numeric_limits<T>::min()) ||
+      d > static_cast<double>(std::numeric_limits<T>::max()))
+    return refuse("is out of range");
+  return static_cast<T>(d);
+}
+
+std::uint64_t want_u64(const JsonValue& v, const char* field) {
+  return want_integer<std::uint64_t>(v, field,
+                                     "must be a non-negative integer");
 }
 
 int want_int(const JsonValue& v, const char* field) {
-  const double d = want_number(v, field);
-  if (d != std::floor(d))
-    throw ProtocolError(std::string("field '") + field +
-                        "' must be an integer");
-  return static_cast<int>(d);
+  return want_integer<int>(v, field, "must be an integer");
 }
 
 bool want_bool(const JsonValue& v, const char* field) {
@@ -401,8 +429,6 @@ bool apply_run_field(runner::RunSpec& spec, const std::string& key,
     spec.batch_budget = want_int(v, "batch_budget");
   } else if (key == "reuse_machine") {
     spec.reuse_machine = want_bool(v, "reuse_machine");
-  } else if (key == "fast_forward") {
-    spec.fast_forward = want_bool(v, "fast_forward");
   } else if (key == "retries") {
     spec.retries = want_int(v, "retries");
   } else if (key == "trial_cycle_budget") {

@@ -49,6 +49,9 @@ struct JsonValue {
   Type type = Type::Null;
   bool boolean = false;
   double number = 0.0;
+  /// Number: the literal as written. Integer fields parse it exactly — a
+  /// double holds integers exactly only below 2^53, and seeds span 2^64.
+  std::string literal;
   std::string string;
   std::vector<std::pair<std::string, JsonValue>> object;
   std::vector<JsonValue> array;

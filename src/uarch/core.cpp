@@ -90,18 +90,53 @@ isa::Flags alu_flags(std::uint64_t result, bool carry, bool overflow) {
 
 constexpr std::int32_t kInstrBlock = 8;  // instructions per DSB/fetch block
 
+/// The per-cycle PMU vector: the events a cycle charges from pipeline state
+/// alone. Core::cycle_charge_ holds one bit per entry; an inert span
+/// charges every skipped cycle the vector of the inert cycle before it.
+constexpr PmuEvent kCycleEvents[] = {
+    PmuEvent::CORE_CYCLES,
+    PmuEvent::UOPS_EXECUTED_STALL_CYCLES,
+    PmuEvent::UOPS_EXECUTED_CORE_CYCLES_NONE,
+    PmuEvent::CYCLE_ACTIVITY_STALLS_TOTAL,
+    PmuEvent::UOPS_ISSUED_STALL_CYCLES,
+    PmuEvent::CYCLE_ACTIVITY_CYCLES_MEM_ANY,
+    PmuEvent::RS_EVENTS_EMPTY_CYCLES,
+    PmuEvent::DE_DIS_UOP_QUEUE_EMPTY_DI0,
+    PmuEvent::RESOURCE_STALLS_ANY,
+    PmuEvent::DE_DIS_DISPATCH_TOKEN_STALLS2_RETIRE_TOKEN_STALL,
+};
+
+constexpr std::uint32_t cycle_bit(PmuEvent e) {
+  for (std::size_t i = 0; i < std::size(kCycleEvents); ++i)
+    if (kCycleEvents[i] == e) return 1u << i;
+  return 0;
+}
+
+/// Allocation blocked on tokens or RAT recovery while work waits in the
+/// IDQ: RESOURCE_STALLS.ANY, plus the retire-token stall on AMD.
+constexpr std::uint32_t resource_stall_bits(Vendor v) {
+  return cycle_bit(PmuEvent::RESOURCE_STALLS_ANY) |
+         (v == Vendor::Amd
+              ? cycle_bit(
+                    PmuEvent::DE_DIS_DISPATCH_TOKEN_STALLS2_RETIRE_TOKEN_STALL)
+              : 0u);
+}
+
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // RobRing
 // ---------------------------------------------------------------------------
 
-void Core::RobRing::grow() {
-  const std::size_t new_cap = buf_.empty() ? kInitialCap : buf_.size() * 2;
-  std::vector<RobEntry> nbuf(new_cap);
-  std::vector<EntryState> nstate(new_cap);
-  std::vector<std::uint64_t> ncomplete(new_cap);
-  std::vector<std::uint64_t> nseq(new_cap);
+void Core::RobRing::reserve(std::size_t n) {
+  std::size_t cap = buf_.empty() ? kInitialCap : buf_.size();
+  while (cap < n) cap *= 2;
+  if (cap == buf_.size()) return;
+  std::vector<RobEntry> nbuf(cap);
+  std::vector<EntryState> nstate(cap);
+  std::vector<std::uint64_t> ncomplete(cap);
+  std::vector<std::uint64_t> nseq(cap);
   for (std::size_t i = 0; i < size_; ++i) {
     const std::size_t p = (head_ + i) & mask_;
     nbuf[i] = std::move(buf_[p]);
@@ -114,11 +149,13 @@ void Core::RobRing::grow() {
   complete_ = std::move(ncomplete);
   seq_ = std::move(nseq);
   head_ = 0;
-  mask_ = new_cap - 1;
+  mask_ = cap - 1;
 }
 
 void Core::RobRing::push_back(RobEntry e) {
-  if (size_ == buf_.size()) grow();
+  // Slots must stay put while entries are in flight: run() reserves the
+  // configured ROB size and allocation never exceeds it.
+  assert(size_ < buf_.size());
   const std::size_t p = (head_ + size_) & mask_;
   state_[p] = e.state;
   complete_[p] = e.complete_at;
@@ -127,80 +164,105 @@ void Core::RobRing::push_back(RobEntry e) {
   ++size_;
 }
 
-Core::RobEntry* Core::RobRing::by_seq(std::uint64_t seq) noexcept {
+std::size_t Core::RobRing::lower_bound(std::uint64_t seq) const noexcept {
   std::size_t lo = 0;
   std::size_t hi = size_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    const std::size_t p = (head_ + mid) & mask_;
-    const std::uint64_t s = seq_[p];
-    if (s == seq) return &buf_[p];
-    if (s < seq)
+    if (seq_[(head_ + mid) & mask_] < seq)
       lo = mid + 1;
     else
       hi = mid;
   }
-  return nullptr;
+  return lo;
+}
+
+Core::RobEntry* Core::RobRing::by_seq(std::uint64_t seq) noexcept {
+  const std::size_t i = lower_bound(seq);
+  if (i == size_) return nullptr;
+  const std::size_t p = phys(i);
+  return seq_[p] == seq ? &buf_[p] : nullptr;
 }
 
 // ---------------------------------------------------------------------------
-// Census / rename bookkeeping
+// Censuses and queues
 // ---------------------------------------------------------------------------
+
+void Core::SeqCensus::insert(std::uint64_t seq) {
+  if (s_.empty() || s_.back() < seq) {
+    s_.push_back(seq);
+    return;
+  }
+  s_.insert(std::lower_bound(s_.begin(), s_.end(), seq), seq);
+}
+
+void Core::SeqCensus::erase(std::uint64_t seq) {
+  if (s_.back() == seq) {  // squashes and in-order completions
+    s_.pop_back();
+    return;
+  }
+  const auto it = std::lower_bound(s_.begin(), s_.end(), seq);
+  assert(it != s_.end() && *it == seq);
+  s_.erase(it);
+}
+
+void Core::Scheduler::clear() noexcept {
+  for (SeqCensus* c : {&fences, &stores, &clflushes, &jccs, &rets, &faults})
+    c->clear();
+  ready.clear();
+  events.clear();
+}
+
+namespace {
+
+std::uint32_t link_of(std::uint32_t slot, int k) {
+  return (slot << 2) | static_cast<std::uint32_t>(k);
+}
+
+}  // namespace
 
 void Core::account_alloc(ThreadCtx& ctx, const RobEntry& e) {
   ++ctx.waiting_count;
   const Instruction& in = e.inst;
-  if (in.is_fence()) ctx.fence_seqs.push_back(e.seq);
-  if (in.is_store()) ++ctx.pending_stores;
-  if (in.op == Opcode::Clflush) ++ctx.pending_clflush;
-  if (in.op == Opcode::Jcc) ++ctx.pending_jcc;
-  if (in.op == Opcode::Ret) ++ctx.pending_ret;
-  if (in.op == Opcode::FdivRR) ++ctx.pending_div;
+  Scheduler& s = ctx.sched;
+  if (in.is_fence()) s.fences.insert(e.seq);
+  if (in.is_store()) s.stores.insert(e.seq);
+  if (in.op == Opcode::Clflush) s.clflushes.insert(e.seq);
+  if (in.op == Opcode::Jcc) s.jccs.insert(e.seq);
+  if (in.op == Opcode::Ret) s.rets.insert(e.seq);
 }
 
 void Core::account_issue(ThreadCtx& ctx, const RobEntry& e) {
   --ctx.waiting_count;
   if (e.inst.is_load()) ++ctx.issued_loads;
-  if (e.inst.op == Opcode::FdivRR) --ctx.pending_div;
+}
+
+void Core::leave_pending(ThreadCtx& ctx, const RobEntry& e) {
+  const Instruction& in = e.inst;
+  Scheduler& s = ctx.sched;
+  if (in.is_fence()) s.fences.erase(e.seq);
+  if (in.is_store()) s.stores.erase(e.seq);
+  if (in.op == Opcode::Clflush) s.clflushes.erase(e.seq);
+  if (in.op == Opcode::Jcc) s.jccs.erase(e.seq);
+  if (in.op == Opcode::Ret) s.rets.erase(e.seq);
 }
 
 void Core::account_done(ThreadCtx& ctx, const RobEntry& e) {
   ++ctx.done_count;
-  const Instruction& in = e.inst;
-  if (in.is_load()) --ctx.issued_loads;
-  if (in.is_fence()) {
-    assert(!ctx.fence_seqs.empty() && ctx.fence_seqs.front() == e.seq);
-    ctx.fence_seqs.erase(ctx.fence_seqs.begin());
-  }
-  if (in.is_store()) --ctx.pending_stores;
-  if (in.op == Opcode::Clflush) --ctx.pending_clflush;
-  if (in.op == Opcode::Jcc) --ctx.pending_jcc;
-  if (in.op == Opcode::Ret) --ctx.pending_ret;
+  if (e.inst.is_load()) --ctx.issued_loads;
+  leave_pending(ctx, e);
 }
 
 void Core::account_remove(ThreadCtx& ctx, const RobEntry& e) {
   switch (e.state) {
-    case EntryState::Waiting:
-      --ctx.waiting_count;
-      if (e.inst.op == Opcode::FdivRR) --ctx.pending_div;
-      break;
+    case EntryState::Waiting: --ctx.waiting_count; break;
     case EntryState::Issued:
       if (e.inst.is_load()) --ctx.issued_loads;
       break;
     case EntryState::Done: --ctx.done_count; break;
   }
-  if (e.state != EntryState::Done) {
-    const Instruction& in = e.inst;
-    if (in.is_fence()) {
-      assert(!ctx.fence_seqs.empty() && ctx.fence_seqs.back() == e.seq);
-      ctx.fence_seqs.pop_back();
-    }
-    if (in.is_store()) --ctx.pending_stores;
-    if (in.op == Opcode::Clflush) --ctx.pending_clflush;
-    if (in.op == Opcode::Jcc) --ctx.pending_jcc;
-    if (in.op == Opcode::Ret) --ctx.pending_ret;
-  }
-  if (e.fault != mem::Fault::None) --ctx.pending_faults;
+  if (e.state != EntryState::Done) leave_pending(ctx, e);
+  if (e.fault != mem::Fault::None) ctx.sched.faults.erase(e.seq);
 }
 
 void Core::unrename(ThreadCtx& ctx, const RobEntry& e) {
@@ -214,6 +276,88 @@ void Core::unrename(ThreadCtx& ctx, const RobEntry& e) {
     ctx.reg_writer[static_cast<std::size_t>(e.dst)] = e.prev_reg_writer;
   if (e.writes_flags && ctx.flags_writer == e.seq)
     ctx.flags_writer = e.prev_flags_writer;
+}
+
+void Core::link_operand(ThreadCtx& ctx, RobEntry& c, int k,
+                        std::uint64_t seq) {
+  // A producer that retired (or is 0) supplies the architectural value; one
+  // that already forwarded supplies its result. Either way: ready now.
+  if (seq == 0) return;
+  RobEntry* p = ctx.rob.by_seq(seq);
+  if (p == nullptr || p->forwarded) return;
+  const auto ki = static_cast<std::size_t>(k);
+  c.prod_link[ki] = ctx.rob.slot(*p);
+  c.next_link[ki] = p->wake_head;
+  p->wake_head = link_of(ctx.rob.slot(c), k);
+  ++c.unready;
+}
+
+void Core::unlink_operands(ThreadCtx& ctx, const RobEntry& c) {
+  // Squashes pop youngest-first and links are pushed in allocation order
+  // (operand 0, 1, 2), so a squashed consumer's links are the heads of
+  // their producers' lists — unlinking walks the operands in reverse.
+  assert(c.wake_head == kNoLink);
+  for (int k = kNumOperands - 1; k >= 0; --k) {
+    const auto ki = static_cast<std::size_t>(k);
+    if (c.prod_link[ki] == kNoLink) continue;
+    RobEntry& p = ctx.rob.at_slot(c.prod_link[ki]);
+    assert(p.wake_head == link_of(ctx.rob.slot(c), k));
+    p.wake_head = c.next_link[ki];
+  }
+}
+
+void Core::wake_consumers(ThreadCtx& ctx, RobEntry& p) {
+  p.forwarded = true;
+  for (std::uint32_t link = p.wake_head; link != kNoLink;) {
+    RobEntry& c = ctx.rob.at_slot(link >> 2);
+    const std::size_t k = link & 3;
+    link = c.next_link[k];
+    c.prod_link[k] = kNoLink;
+    if (--c.unready == 0) ready_insert(ctx, c);
+  }
+  p.wake_head = kNoLink;
+}
+
+void Core::ready_insert(ThreadCtx& ctx, const RobEntry& e) {
+  std::vector<ReadyRef>& r = ctx.sched.ready;
+  const ReadyRef ref{e.seq, ctx.rob.slot(e)};
+  if (r.empty() || r.back().seq < e.seq) {
+    r.push_back(ref);
+    return;
+  }
+  r.insert(std::lower_bound(r.begin(), r.end(), e.seq,
+                            [](const ReadyRef& x, std::uint64_t s) {
+                              return x.seq < s;
+                            }),
+           ref);
+}
+
+void Core::schedule_events(ThreadCtx& ctx, RobEntry& e) {
+  std::vector<Event>& q = ctx.sched.events;
+  const std::uint32_t slot = ctx.rob.slot(e);
+  auto push = [&](std::uint64_t time) {
+    q.push_back({time, e.seq, slot});
+    std::push_heap(q.begin(), q.end(), Event::later);
+  };
+  // Dependents scanned later in this cycle's issue pass may already use a
+  // result that forwards now.
+  if (!e.forwarded && e.forward_at <= cycle_) wake_consumers(ctx, e);
+  if (!e.forwarded) push(e.forward_at);
+  if (e.complete_at != e.forward_at || e.forwarded) push(e.complete_at);
+}
+
+std::uint64_t Core::next_queued_event(ThreadCtx& ctx) {
+  std::vector<Event>& q = ctx.sched.events;
+  while (!q.empty()) {
+    const Event& ev = q.front();
+    if (ctx.rob.live(ev.slot, ev.seq)) {
+      const RobEntry& e = ctx.rob.at_slot(ev.slot);
+      if (!e.forwarded || e.state == EntryState::Issued) return ev.time;
+    }
+    std::pop_heap(q.begin(), q.end(), Event::later);
+    q.pop_back();
+  }
+  return ~std::uint64_t{0};
 }
 
 // ---------------------------------------------------------------------------
@@ -260,18 +404,18 @@ void Core::recycle(ThreadCtx& ctx) {
   Ring<IdqEntry> idq = std::move(ctx.idq);
   std::unordered_set<std::int32_t> dsb = std::move(ctx.dsb_blocks);
   std::vector<std::uint64_t> tsc = std::move(ctx.tsc_out);
-  std::vector<std::uint64_t> fences = std::move(ctx.fence_seqs);
+  Scheduler sched = std::move(ctx.sched);
   rob.clear();
   idq.clear();
   dsb.clear();
   tsc.clear();
-  fences.clear();
+  sched.clear();
   ctx = ThreadCtx{};
   ctx.rob = std::move(rob);
   ctx.idq = std::move(idq);
   ctx.dsb_blocks = std::move(dsb);
   ctx.tsc_out = std::move(tsc);
-  ctx.fence_seqs = std::move(fences);
+  ctx.sched = std::move(sched);
 }
 
 void Core::reset(std::uint64_t seed) {
@@ -304,8 +448,11 @@ RunResult Core::run(const isa::Program& prog, const InitState& init,
   ctx_[0].user_mode = init.user_mode;
   ctx_[0].signal_handler = init.signal_handler;
   ctx_[0].code_base = init.code_base;
+  ctx_[0].rob.reserve(static_cast<std::size_t>(cfg_.rob_size));
   if (last_prog_[0] == &prog) ctx_[0].dsb_blocks = std::move(persistent_dsb_[0]);
-  recycle(ctx_[1]);
+  // An inactive sibling context is already clean: only recycle() clears
+  // `active`, and it clears everything else with it.
+  if (ctx_[1].active) recycle(ctx_[1]);
   RunResult r = run_internal(cycle_limit);
   last_prog_[0] = &prog;
   persistent_dsb_[0] = std::move(ctx_[0].dsb_blocks);
@@ -329,6 +476,7 @@ RunResult Core::run_smt(const isa::Program& p0, const InitState& i0,
     ctx_[t].user_mode = init.user_mode;
     ctx_[t].signal_handler = init.signal_handler;
     ctx_[t].code_base = init.code_base;
+    ctx_[t].rob.reserve(static_cast<std::size_t>(cfg_.rob_size));
     if (last_prog_[t] == &p) ctx_[t].dsb_blocks = std::move(persistent_dsb_[t]);
   }
   RunResult r = run_internal(cycle_limit);
@@ -350,41 +498,16 @@ RunResult Core::run_internal(std::uint64_t cycle_limit) {
     return true;
   };
 
-  // An interrupt raised by the noise hook while fast-forwarding is carried
-  // here into the next structural cycle, so the hook fires exactly once per
-  // simulated cycle in both modes.
-  std::uint64_t pending_interrupt = 0;
   while (!all_done()) {
     if (cycle_ >= deadline) {
       result.cycle_limit_hit = true;
       break;
     }
-    if (pending_interrupt == 0 && try_fast_forward(deadline, pending_interrupt))
-      continue;
-
-    issued_uops_this_cycle_ = 0;
-    alloc_uops_this_cycle_ = 0;
-
-    if (pending_interrupt != 0) {
-      inject_interrupt(pending_interrupt);
-      pending_interrupt = 0;
-    } else if (noise_) {
-      const std::uint64_t handler = noise_->on_cycle(cycle_);
-      if (handler != 0) inject_interrupt(handler);
-    }
-
-    step_complete();
-    for (int t = 0; t < nthreads_; ++t)
-      if (ctx_[t].active && !ctx_[t].halted) step_retire(t);
-    step_issue();
-    // Allocation and fetch bandwidth alternates between SMT siblings.
-    const int turn = nthreads_ > 1 ? static_cast<int>(cycle_ % 2) : 0;
-    if (ctx_[turn].active && !ctx_[turn].halted) {
-      step_alloc(turn);
-      step_fetch(turn);
-    }
-    per_cycle_pmu();
-    ++cycle_;
+    step_cycle();
+    ++loop_iterations_;
+    // SMT siblings alternate alloc/fetch turns, so an inert cycle does not
+    // predict the next one there; SMT runs step every cycle.
+    if (!acted_ && nthreads_ == 1) jump_to_next_event(deadline);
   }
 
   result.end_cycle = cycle_;
@@ -399,142 +522,59 @@ RunResult Core::run_internal(std::uint64_t cycle_limit) {
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Fast-forward
-// ---------------------------------------------------------------------------
+void Core::step_cycle() {
+  issued_uops_this_cycle_ = 0;
+  alloc_uops_this_cycle_ = 0;
+  cycle_charge_ = 0;
+  acted_ = false;
 
-bool Core::try_fast_forward(std::uint64_t deadline,
-                            std::uint64_t& pending_interrupt) {
-  // SMT runs always step structurally: the siblings' alternating alloc/fetch
-  // turns and cross-thread front-end stalls make inert spans rare and the
-  // proof obligations heavier, while every covert-channel trial is short.
-  if (!fast_forward_ || nthreads_ != 1) return false;
-  ThreadCtx& ctx = ctx_[0];
-  if (!ctx.active || ctx.halted) return false;
-
-  std::uint64_t horizon = deadline;
-
-  // Retirement acts as soon as the ROB head is Done (including a deferred
-  // fault turning into a machine clear).
-  if (!ctx.rob.empty() && ctx.rob.state_at(0) == EntryState::Done)
-    return false;
-
-  // Completion, forwarding wake-ups and issue eligibility: one sweep over
-  // the SoA mirrors. Any Issued entry already due completes this cycle; any
-  // Waiting entry that passes the (side-effect-free) issue checks would
-  // issue this cycle — port capacity is irrelevant, since every port class
-  // admits at least one uop into an otherwise-empty issue group.
-  const std::size_t n = ctx.rob.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const EntryState s = ctx.rob.state_at(i);
-    if (s == EntryState::Issued) {
-      const std::uint64_t c = ctx.rob.complete_at(i);
-      if (c <= cycle_) return false;
-      if (c < horizon) horizon = c;
-      const std::uint64_t f = ctx.rob[i].forward_at;
-      if (f > cycle_ && f < horizon) horizon = f;
-    } else if (s == EntryState::Waiting && issue_ready(ctx, ctx.rob[i])) {
-      return false;
-    }
-  }
-
-  // Divider occupancy: a Waiting divide that passed nothing above may still
-  // be gated purely on the busy divider, and the divide that latched the
-  // occupancy may have been squashed (no Issued entry bounds the horizon
-  // for it). The pending_div census says whether the gate can matter; when
-  // it can, the unit's release is a wake-up the skip must not overshoot.
-  if (ctx.pending_div > 0 && divider_busy_until_ > cycle_ &&
-      divider_busy_until_ < horizon)
-    horizon = divider_busy_until_;
-
-  // Allocation: would step_alloc change anything this cycle, and does it
-  // charge the resource-stall events while blocked?
-  const bool idq_nonempty = !ctx.idq.empty();
-  bool alloc_resource_stall = false;
-  if (cycle_ < ctx.alloc_stall_until) {
-    if (idq_nonempty) {
-      alloc_resource_stall = true;
-      if (ctx.alloc_stall_until < horizon) horizon = ctx.alloc_stall_until;
-    }
-  } else if (idq_nonempty) {
-    if (ctx.idq.front().uops <= cfg_.alloc_width) {
-      if (ctx.rob.size() < static_cast<std::size_t>(cfg_.rob_size) &&
-          ctx.waiting_count < cfg_.rs_size && !alloc_window_clamped(ctx))
-        return false;  // would allocate
-      alloc_resource_stall = true;  // blocked on ROB/RS/window tokens
-    }
-  }
-
-  // Fetch, mirroring step_fetch's early-out order exactly: the time gate is
-  // checked before the bounds/bubble cases, so a time-gated front end is
-  // inert regardless of them.
-  if (!ctx.fetch_halted) {
-    const std::uint64_t ready =
-        std::max(ctx.frontend_ready_at, shared_frontend_busy_until_);
-    if (cycle_ < ready) {
-      if (ready < horizon) horizon = ready;
-    } else {
-      const auto& code = ctx.prog->code();
-      if (ctx.fetch_pc < 0 ||
-          static_cast<std::size_t>(ctx.fetch_pc) >= code.size())
-        return false;  // would set fetch_halted
-      const std::int32_t first_block = ctx.fetch_pc / kInstrBlock;
-      const bool dsb_cycle =
-          ctx.force_mite == 0 && ctx.dsb_blocks.contains(first_block);
-      if (!dsb_cycle && ctx.pending_mite_bubble)
-        return false;  // would pay the MITE-switch bubble
-      if (ctx.idq.size() < static_cast<std::size_t>(cfg_.idq_size))
-        return false;  // would fetch into the IDQ
-      // IDQ full: the fetch loop breaks before touching any state.
-    }
-  }
-
-  if (horizon <= cycle_) return false;
-
-  // Every skipped cycle charges the same per-cycle PMU vector the structural
-  // loop would: nothing issues, allocates or retires during the span, and
-  // the census inputs below are constant across it (nothing transitions).
-  const bool amd = cfg_.vendor == Vendor::Amd;
-  const bool mem_any = ctx.issued_loads > 0;
-  const bool rs_empty = ctx.waiting_count == 0;
-  const bool idq_empty_amd = amd && ctx.idq.empty();
-
-  auto charge = [&](std::uint64_t span) {
-    pmu_.inc(PmuEvent::CORE_CYCLES, span);
-    pmu_.inc(PmuEvent::UOPS_EXECUTED_STALL_CYCLES, span);
-    pmu_.inc(PmuEvent::UOPS_EXECUTED_CORE_CYCLES_NONE, span);
-    pmu_.inc(PmuEvent::CYCLE_ACTIVITY_STALLS_TOTAL, span);
-    pmu_.inc(PmuEvent::UOPS_ISSUED_STALL_CYCLES, span);
-    if (mem_any) pmu_.inc(PmuEvent::CYCLE_ACTIVITY_CYCLES_MEM_ANY, span);
-    if (rs_empty) pmu_.inc(PmuEvent::RS_EVENTS_EMPTY_CYCLES, span);
-    if (idq_empty_amd) pmu_.inc(PmuEvent::DE_DIS_UOP_QUEUE_EMPTY_DI0, span);
-    if (alloc_resource_stall) {
-      pmu_.inc(PmuEvent::RESOURCE_STALLS_ANY, span);
-      if (amd)
-        pmu_.inc(PmuEvent::DE_DIS_DISPATCH_TOKEN_STALLS2_RETIRE_TOKEN_STALL,
-                 span);
-    }
-  };
-
-  if (!noise_) {
-    charge(horizon - cycle_);
-    cycle_ = horizon;
-    return true;
-  }
-  // With a noise source attached the hook must still run once per cycle
-  // (its schedule is stateful, and it may mutate memory state that the
-  // pipeline doesn't observe during an inert span). An interrupt hands the
-  // cycle back to the structural loop before it is charged or advanced.
-  while (cycle_ < horizon) {
+  if (noise_) {
     const std::uint64_t handler = noise_->on_cycle(cycle_);
-    if (handler != 0) {
-      pending_interrupt = handler;
-      return true;
-    }
-    charge(1);
-    ++cycle_;
+    if (handler != 0) inject_interrupt(handler);
   }
-  return true;
+
+  step_complete();
+  for (int t = 0; t < nthreads_; ++t)
+    if (ctx_[t].active && !ctx_[t].halted) step_retire(t);
+  step_issue();
+  // Allocation and fetch bandwidth alternates between SMT siblings.
+  const int turn = nthreads_ > 1 ? static_cast<int>(cycle_ % 2) : 0;
+  if (ctx_[turn].active && !ctx_[turn].halted) {
+    step_alloc(turn);
+    step_fetch(turn);
+  }
+  per_cycle_pmu();
+  ++cycle_;
+}
+
+// ---------------------------------------------------------------------------
+// Next-event jumps
+// ---------------------------------------------------------------------------
+
+void Core::jump_to_next_event(std::uint64_t deadline) {
+  // The cycle just stepped changed nothing but time and the per-cycle PMU
+  // vector. Every remaining trigger is either state — which only a stage
+  // acting can change — or one of the times below, so each cycle up to the
+  // earliest of them would repeat it exactly. With an interference source
+  // attached the last cycle before the deadline is still stepped, so the
+  // source sees the run's final cycle as it would cycle by cycle.
+  ThreadCtx& ctx = ctx_[0];
+  std::uint64_t next = noise_ ? deadline - 1 : deadline;
+  next = std::min(next, next_queued_event(ctx));
+  // cycle_ is the first cycle the jump would skip: a gate that opens at
+  // cycle_ itself leaves nothing to skip.
+  auto upcoming = [&](std::uint64_t at) {
+    if (at >= cycle_) next = std::min(next, at);
+  };
+  upcoming(ctx.alloc_stall_until);
+  if (!ctx.fetch_halted)
+    upcoming(std::max(ctx.frontend_ready_at, shared_frontend_busy_until_));
+  upcoming(divider_busy_until_);
+  if (noise_) next = std::min(next, noise_->next_tick(cycle_));
+  if (next <= cycle_) return;
+
+  charge_cycles(cycle_charge_, next - cycle_);
+  cycle_ = next;
 }
 
 void Core::trace(int thread, TraceEvent event, const RobEntry* e,
@@ -581,6 +621,7 @@ void Core::step_fetch(int t) {
   if (ctx.fetch_pc < 0 ||
       static_cast<std::size_t>(ctx.fetch_pc) >= code.size()) {
     ctx.fetch_halted = true;  // ran off the end
+    acted_ = true;
     return;
   }
 
@@ -598,6 +639,7 @@ void Core::step_fetch(int t) {
     ctx.frontend_ready_at = cycle_ + cfg_.mite_decode_latency;
     pmu_.inc(PmuEvent::ICACHE_16B_IFDATA_STALL,
              static_cast<std::uint64_t>(cfg_.mite_decode_latency));
+    acted_ = true;
     return;
   }
 
@@ -697,6 +739,10 @@ void Core::step_fetch(int t) {
     if (taken || ctx.fetch_halted) break;  // one taken branch per cycle
   }
 
+  // A full IDQ (or a first instruction wider than the fetch group) leaves
+  // the front end untouched; anything fetched is a state change.
+  if (budget != width || ctx.fetch_halted) acted_ = true;
+
   // Front-end delivery PMU accounting.
   if (dsb_uops > 0) {
     pmu_.inc(PmuEvent::IDQ_DSB_UOPS, static_cast<std::uint64_t>(dsb_uops));
@@ -727,12 +773,7 @@ void Core::step_fetch(int t) {
 void Core::step_alloc(int t) {
   ThreadCtx& ctx = ctx_[t];
   if (cycle_ < ctx.alloc_stall_until) {
-    if (!ctx.idq.empty()) {
-      pmu_.inc(PmuEvent::RESOURCE_STALLS_ANY);
-      if (cfg_.vendor == Vendor::Amd)
-        pmu_.inc(
-            PmuEvent::DE_DIS_DISPATCH_TOKEN_STALLS2_RETIRE_TOKEN_STALL);
-    }
+    if (!ctx.idq.empty()) cycle_charge_ |= resource_stall_bits(cfg_.vendor);
     return;
   }
 
@@ -741,10 +782,7 @@ void Core::step_alloc(int t) {
   while (!ctx.idq.empty() && budget >= ctx.idq.front().uops) {
     if (ctx.rob.size() >= static_cast<std::size_t>(cfg_.rob_size) ||
         ctx.waiting_count >= cfg_.rs_size || alloc_window_clamped(ctx)) {
-      pmu_.inc(PmuEvent::RESOURCE_STALLS_ANY);
-      if (cfg_.vendor == Vendor::Amd)
-        pmu_.inc(
-            PmuEvent::DE_DIS_DISPATCH_TOKEN_STALLS2_RETIRE_TOKEN_STALL);
+      cycle_charge_ |= resource_stall_bits(cfg_.vendor);
       break;
     }
     IdqEntry fe = std::move(ctx.idq.front());
@@ -788,6 +826,14 @@ void Core::step_alloc(int t) {
     trace(t, TraceEvent::Alloc, &e);
     account_alloc(ctx, e);
     ctx.rob.push_back(std::move(e));
+
+    RobEntry& placed = ctx.rob.back();
+    link_operand(ctx, placed, 0, placed.prod_a);
+    link_operand(ctx, placed, 1, placed.prod_b);
+    if (placed.inst.reads_flags())
+      link_operand(ctx, placed, 2, placed.prod_flags);
+    if (placed.unready == 0) ready_insert(ctx, placed);
+    acted_ = true;
   }
 }
 
@@ -795,83 +841,58 @@ void Core::step_alloc(int t) {
 // Issue / execute
 // ---------------------------------------------------------------------------
 
-Core::RobEntry* Core::find_entry(ThreadCtx& ctx, std::uint64_t seq) {
-  return ctx.rob.by_seq(seq);
-}
-
-bool Core::operand_ready(ThreadCtx& ctx, std::uint64_t producer) const {
-  if (producer == 0) return true;
-  if (const RobEntry* e = ctx.rob.by_seq(producer))
-    return e->state != EntryState::Waiting && cycle_ >= e->forward_at;
-  return true;  // producer already retired: value is architectural
-}
-
 std::uint64_t Core::read_operand(ThreadCtx& ctx, Reg r,
                                  std::uint64_t producer) {
   if (r == Reg::None) return 0;
   if (producer != 0) {
-    if (RobEntry* e = find_entry(ctx, producer)) return e->result;
+    if (RobEntry* e = ctx.rob.by_seq(producer)) return e->result;
   }
   return ctx.regs[static_cast<std::size_t>(r)];
 }
 
 isa::Flags Core::read_flags(ThreadCtx& ctx, std::uint64_t producer) {
   if (producer != 0) {
-    if (RobEntry* e = find_entry(ctx, producer)) return e->flags_out;
+    if (RobEntry* e = ctx.rob.by_seq(producer)) return e->flags_out;
   }
   return ctx.flags;
 }
 
 bool Core::operand_tainted(ThreadCtx& ctx, std::uint64_t producer) {
   if (producer == 0) return false;
-  if (RobEntry* e = find_entry(ctx, producer)) return e->stale_tainted;
+  if (RobEntry* e = ctx.rob.by_seq(producer)) return e->stale_tainted;
   return false;
 }
 
-bool Core::fence_blocks(const ThreadCtx& ctx, std::uint64_t seq) const {
-  // The fence_seqs census is exactly the non-Done fences in ascending seq
-  // order, so "an older fence is pending" is a front() comparison.
-  return !ctx.fence_seqs.empty() && ctx.fence_seqs.front() < seq;
+std::uint64_t Core::oldest_pending(const ThreadCtx& ctx) {
+  // Done entries wait at the head for retirement, a few at most, so the
+  // walk stops almost at once.
+  if (static_cast<int>(ctx.rob.size()) == ctx.done_count)
+    return ~std::uint64_t{0};
+  std::size_t i = 0;
+  while (ctx.rob.state_at(i) == EntryState::Done) ++i;
+  return ctx.rob[i].seq;
+}
+
+bool Core::older_window_exists(const ThreadCtx& ctx, std::uint64_t seq) {
+  // A deferred fault, an unresolved return, or any unresolved older
+  // conditional branch keeps execution speculative — the last is the
+  // Spectre-V1 window (bounds check pending on a slow load).
+  const Scheduler& s = ctx.sched;
+  return s.faults.has_older(seq) || s.rets.has_older(seq) ||
+         s.jccs.has_older(seq);
 }
 
 bool Core::alloc_window_clamped(const ThreadCtx& ctx) const {
   // "window" defense (defense::registry()): allocation stops once
   // speculation_window_limit uops sit younger than the oldest unresolved
-  // window opener — the same opener set older_window_exists() scans for.
-  // Side-effect free and constant across an inert span (entry states only
-  // change at completion/retire, which bound the fast-forward horizon), so
-  // step_alloc and the try_fast_forward dry run share it — the invariant-10
-  // contract for new allocation gates.
+  // window opener — the same opener set older_window_exists() consults.
   if (cfg_.speculation_window_limit <= 0) return false;
-  if (ctx.pending_faults == 0 && ctx.pending_ret == 0 && ctx.pending_jcc == 0)
-    return false;
-  for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-    const RobEntry& e = ctx.rob[i];
-    const bool opener =
-        e.fault != mem::Fault::None ||
-        ((e.inst.op == Opcode::Jcc || e.inst.op == Opcode::Ret) &&
-         e.state != EntryState::Done);
-    if (opener)
-      return ctx.rob.size() - (i + 1) >=
-             static_cast<std::size_t>(cfg_.speculation_window_limit);
-  }
-  return false;
-}
-
-bool Core::older_window_exists(const ThreadCtx& ctx,
-                               std::uint64_t seq) const {
-  if (ctx.pending_faults == 0 && ctx.pending_ret == 0 && ctx.pending_jcc == 0)
-    return false;
-  for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-    const RobEntry& e = ctx.rob[i];
-    if (e.seq >= seq) break;
-    if (e.fault != mem::Fault::None) return true;
-    if (e.inst.op == Opcode::Ret && e.state != EntryState::Done) return true;
-    // Any unresolved older conditional branch keeps execution speculative —
-    // the Spectre-V1 window (bounds check pending on a slow load).
-    if (e.inst.op == Opcode::Jcc && e.state != EntryState::Done) return true;
-  }
-  return false;
+  const Scheduler& s = ctx.sched;
+  const std::uint64_t opener =
+      std::min({s.faults.oldest(), s.rets.oldest(), s.jccs.oldest()});
+  if (opener == ~std::uint64_t{0}) return false;
+  const std::size_t younger = ctx.rob.size() - (ctx.rob.lower_bound(opener) + 1);
+  return younger >= static_cast<std::size_t>(cfg_.speculation_window_limit);
 }
 
 void Core::step_issue() {
@@ -880,106 +901,82 @@ void Core::step_issue() {
   for (int t = 0; t < nthreads_; ++t) {
     ThreadCtx& ctx = ctx_[t];
     if (!ctx.active || ctx.halted) continue;
-    // Oldest-first scheduling. Entries may be squashed by a resteer mid-
-    // scan, so re-check validity through indices into the ring. The census
-    // bounds the sweep: once `remaining` Waiting entries have been visited
-    // the tail of the ROB is all Issued/Done and can be skipped. A mid-scan
-    // squash only ever removes Waiting entries, so the snapshot overcounts
-    // at worst (extra harmless iterations, never a missed entry).
-    int remaining = ctx.waiting_count;
-    for (std::size_t i = 0; remaining > 0 && i < ctx.rob.size(); ++i) {
+    // Oldest-first over the ready queue: the Waiting entries whose operands
+    // have all arrived. Executing an entry may squash younger ones (a
+    // resolved mispredict) or wake new ones, so after each issue the scan
+    // resumes just past the issued seq. Everything younger than a pending
+    // fence is held by it (issue_ready's first census gate), so the scan
+    // stops there.
+    std::vector<ReadyRef>& ready = ctx.sched.ready;
+    std::size_t i = 0;
+    while (i < ready.size()) {
       if (issued >= cfg_.issue_width) break;
-      if (ctx.rob.state_at(i) != EntryState::Waiting) continue;
-      --remaining;
-      try_issue_entry(ctx, ctx.rob[i], loads, stores, branches, issued);
-      // A branch misprediction squashes younger entries; the loop bound
-      // shrinks naturally via ctx.rob.size().
+      const std::uint64_t seq = ready[i].seq;
+      if (seq > ctx.sched.fences.oldest()) break;
+      if (!try_issue_entry(ctx, i, loads, stores, branches, issued)) {
+        ++i;
+        continue;
+      }
+      i = static_cast<std::size_t>(
+          std::upper_bound(ready.begin(), ready.end(), seq,
+                           [](std::uint64_t s, const ReadyRef& x) {
+                             return s < x.seq;
+                           }) -
+          ready.begin());
     }
   }
   issued_uops_this_cycle_ = issued;
+  if (issued > 0) acted_ = true;
 }
 
-bool Core::issue_ready(ThreadCtx& ctx, const RobEntry& e) {
+bool Core::issue_ready(const ThreadCtx& ctx, const RobEntry& e) const {
   const Instruction& in = e.inst;
+  const Scheduler& s = ctx.sched;
 
   // Non-pipelined divider: a divide cannot issue while the unit iterates on
   // an earlier one — regardless of which (possibly squashed) divide latched
-  // the occupancy. Side-effect free like every check here; the fast-forward
-  // dry run shares it, with its horizon clamped to divider_busy_until_.
+  // the occupancy.
   if (in.op == Opcode::FdivRR && cycle_ < divider_busy_until_) return false;
 
   // Dispatch serialisation: LFENCE/MFENCE block younger issue.
-  if (fence_blocks(ctx, e.seq)) return false;
+  if (s.fences.has_older(e.seq)) return false;
 
   // "lfence" defense (defense::registry()): as if the compiler placed an
   // LFENCE after every Jcc — nothing younger than an unresolved conditional
-  // branch may issue. The branch itself still issues (the scan stops at
-  // e.seq), so resolution always makes progress. Side-effect free like the
-  // rest of this predicate; the fast-forward dry run shares it unchanged.
-  if (cfg_.lfence_after_branch && ctx.pending_jcc > 0) {
-    for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-      const RobEntry& o = ctx.rob[i];
-      if (o.seq >= e.seq) break;
-      if (o.inst.op == Opcode::Jcc && o.state != EntryState::Done)
-        return false;
-    }
-  }
+  // branch may issue. The branch itself still issues, so resolution always
+  // makes progress.
+  if (cfg_.lfence_after_branch && s.jccs.has_older(e.seq)) return false;
 
   // Fences (and RDTSCP's wait-for-older semantics) hold issue until all
-  // older entries complete. `e` itself is non-Done, so more than one
-  // non-Done entry means the scan could find an older one.
-  if (in.is_fence() || in.op == Opcode::Rdtscp) {
-    if (static_cast<int>(ctx.rob.size()) - ctx.done_count > 1) {
-      for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-        const RobEntry& o = ctx.rob[i];
-        if (o.seq >= e.seq) break;
-        if (o.state != EntryState::Done) return false;
-      }
-    }
-  }
+  // older entries complete.
+  if ((in.is_fence() || in.op == Opcode::Rdtscp) &&
+      oldest_pending(ctx) < e.seq)
+    return false;
 
   // Loads (and CLFLUSH) wait for older stores to drain, and loads also wait
   // for older CLFLUSHes — conservative memory disambiguation that gives
   // store→clflush→ret the paper's ordering (Listing 1).
-  if (in.is_load()) {
-    if (ctx.pending_stores > 0 || ctx.pending_clflush > 0) {
-      for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-        const RobEntry& o = ctx.rob[i];
-        if (o.seq >= e.seq) break;
-        if (o.inst.is_store() && o.state != EntryState::Done) return false;
-        if (o.inst.op == Opcode::Clflush && o.state != EntryState::Done)
-          return false;
-      }
-    }
-  } else if (in.op == Opcode::Clflush) {
-    if (ctx.pending_stores > 0) {
-      for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-        const RobEntry& o = ctx.rob[i];
-        if (o.seq >= e.seq) break;
-        if (o.inst.is_store() && o.state != EntryState::Done) return false;
-      }
-    }
-  }
-
-  // Operand readiness.
-  if (!operand_ready(ctx, e.prod_a) || !operand_ready(ctx, e.prod_b))
-    return false;
-  if (e.inst.reads_flags() && !operand_ready(ctx, e.prod_flags)) return false;
+  if (in.is_load())
+    return !s.stores.has_older(e.seq) && !s.clflushes.has_older(e.seq);
+  if (in.op == Opcode::Clflush) return !s.stores.has_older(e.seq);
   return true;
 }
 
-void Core::try_issue_entry(ThreadCtx& ctx, RobEntry& e, int& loads,
+bool Core::try_issue_entry(ThreadCtx& ctx, std::size_t idx, int& loads,
                            int& stores, int& branches, int& issued_uops) {
+  RobEntry& e = ctx.rob.at_slot(ctx.sched.ready[idx].slot);
   const Instruction& in = e.inst;
 
   // Port capacity.
-  if (in.is_load() && loads >= cfg_.load_ports) return;
-  if (in.is_store() && stores >= cfg_.store_ports) return;
-  if (in.is_branch() && branches >= cfg_.branch_ports) return;
+  if (in.is_load() && loads >= cfg_.load_ports) return false;
+  if (in.is_store() && stores >= cfg_.store_ports) return false;
+  if (in.is_branch() && branches >= cfg_.branch_ports) return false;
 
-  if (!issue_ready(ctx, e)) return;
+  if (!issue_ready(ctx, e)) return false;
 
   // Issue.
+  ctx.sched.ready.erase(ctx.sched.ready.begin() +
+                        static_cast<std::ptrdiff_t>(idx));
   ctx.rob.set_state(e, EntryState::Issued);
   trace(&ctx == &ctx_[0] ? 0 : 1, TraceEvent::Issue, &e);
   issued_uops += e.uops;
@@ -988,6 +985,7 @@ void Core::try_issue_entry(ThreadCtx& ctx, RobEntry& e, int& loads,
   if (in.is_branch()) ++branches;
   account_issue(ctx, e);
   execute_entry(ctx, e);
+  return true;
 }
 
 void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
@@ -1237,12 +1235,13 @@ void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
 
   ctx.rob.set_complete(e, cycle_ + static_cast<std::uint64_t>(latency));
   if (e.forward_at == 0) e.forward_at = e.complete_at;
+  schedule_events(ctx, e);
 
   // A deferred fault opens a transient window: younger instructions now
   // execute on borrowed time until the fault retires (machine clear) or the
   // opener itself is squashed from a wrong path.
   if (e.fault != mem::Fault::None) {
-    ++ctx.pending_faults;
+    ctx.sched.faults.insert(e.seq);
     if (ctx.window_open_seq == 0) {
       ctx.window_open_seq = e.seq;
       trace(&ctx == &ctx_[0] ? 0 : 1, TraceEvent::WindowOpen, &e);
@@ -1319,14 +1318,15 @@ void Core::handle_transient_shortcuts(ThreadCtx& ctx,
   // initiates the squash early — the faulting load stops replaying its walk
   // and the fault is confirmed immediately (TET-ZBL: trigger => shorter).
   if (branch.stale_tainted) {
-    for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-      RobEntry& o = ctx.rob[i];
-      if (o.seq >= branch.seq) break;
+    for (const std::uint64_t seq : ctx.sched.faults.seqs()) {
+      if (seq >= branch.seq) break;
+      RobEntry& o = *ctx.rob.by_seq(seq);
       if (o.fault == mem::Fault::NotPresent && o.data_forwarded &&
           o.state == EntryState::Issued && o.complete_at > cycle_ + 1) {
         ctx.rob.set_complete(o, cycle_ + 1);
         o.forward_at = std::min(o.forward_at, o.complete_at);
         o.early_cleared = true;
+        schedule_events(ctx, o);
         break;
       }
     }
@@ -1335,16 +1335,17 @@ void Core::handle_transient_shortcuts(ThreadCtx& ctx,
   // RSB window: the squash propagates to the pending return, which resolves
   // early instead of waiting for its (slow) target load
   // (TET-RSB: trigger => shorter, §4.3.3).
-  for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-    RobEntry& o = ctx.rob[i];
-    if (o.seq >= branch.seq) break;
-    if (o.inst.op == Opcode::Ret && o.state == EntryState::Issued &&
+  for (const std::uint64_t seq : ctx.sched.rets.seqs()) {
+    if (seq >= branch.seq) break;
+    RobEntry& o = *ctx.rob.by_seq(seq);
+    if (o.state == EntryState::Issued &&
         o.complete_at > cycle_ + static_cast<std::uint64_t>(
                                      cfg_.early_ret_resolve_cycles)) {
       ctx.rob.set_complete(
           o, cycle_ + static_cast<std::uint64_t>(cfg_.early_ret_resolve_cycles));
       o.forward_at = std::min(o.forward_at, o.complete_at);
       o.early_cleared = true;
+      schedule_events(ctx, o);
       break;
     }
   }
@@ -1358,52 +1359,67 @@ void Core::step_complete() {
   for (int t = 0; t < nthreads_; ++t) {
     ThreadCtx& ctx = ctx_[t];
     if (!ctx.active || ctx.halted) continue;
-    for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-      if (ctx.rob.state_at(i) != EntryState::Issued ||
-          cycle_ < ctx.rob.complete_at(i))
-        continue;
-      RobEntry& e = ctx.rob[i];
-      ctx.rob.set_state(e, EntryState::Done);
-      account_done(ctx, e);
-      trace(t, TraceEvent::Complete, &e);
-      if (e.inst.op == Opcode::Ret && e.fault == mem::Fault::None) {
-        // The loaded return target is now known: check the RSB prediction.
-        const auto actual =
-            static_cast<std::int32_t>(e.store_old);  // stashed target
-        if (e.predicted_target == actual) {
-          if (cfg_.vendor == Vendor::Amd)
-            pmu_.inc(PmuEvent::BP_L1_BTB_CORRECT);
-        } else if (e.predicted_target < 0) {
-          // No prediction was made; simply steer the stalled front end.
-          squash_younger(ctx, e.seq);
-          redirect_fetch(ctx, actual);
-          ctx.frontend_ready_at = std::max(ctx.frontend_ready_at, cycle_ + 2);
-        } else {
-          // Spectre-RSB misprediction resolved: squash the transient return
-          // path and resteer (no machine clear — hence TET-RSB's speed).
-          pmu_.inc(PmuEvent::BR_MISP_EXEC_ALL_BRANCHES);
-          pmu_.inc(PmuEvent::BR_MISP_EXEC_INDIRECT);
-          squash_younger(ctx, e.seq);
-          redirect_fetch(ctx, actual);
-          ctx.frontend_ready_at = std::max(
-              ctx.frontend_ready_at,
-              cycle_ + static_cast<std::uint64_t>(cfg_.resteer_cycles));
-          ctx.alloc_stall_until = std::max(
-              ctx.alloc_stall_until,
-              cycle_ + static_cast<std::uint64_t>(
-                           cfg_.resteer_cycles + cfg_.recovery_extra_cycles));
-          pmu_.inc(PmuEvent::INT_MISC_CLEAR_RESTEER_CYCLES,
-                   static_cast<std::uint64_t>(cfg_.resteer_cycles));
-          pmu_.inc(PmuEvent::INT_MISC_RECOVERY_CYCLES,
-                   static_cast<std::uint64_t>(cfg_.recovery_extra_cycles));
-          pmu_.inc(PmuEvent::INT_MISC_RECOVERY_CYCLES_ANY,
-                   static_cast<std::uint64_t>(cfg_.recovery_extra_cycles));
-          // The transient window ended by resteer; any inner transient
-          // mispredict was consumed by the early resolution.
-          ctx.window_mispredict = false;
-        }
-      }
+    std::vector<Event>& q = ctx.sched.events;
+    if (q.empty() || q.front().time > cycle_) continue;
+    // Everything due this cycle, in program order: a resolving return may
+    // squash younger entries that were due too.
+    due_.clear();
+    while (!q.empty() && q.front().time <= cycle_) {
+      std::pop_heap(q.begin(), q.end(), Event::later);
+      due_.push_back(q.back());
+      q.pop_back();
     }
+    std::sort(due_.begin(), due_.end(),
+              [](const Event& x, const Event& y) { return x.seq < y.seq; });
+    for (const Event& ev : due_) {
+      if (!ctx.rob.live(ev.slot, ev.seq)) continue;  // squashed meanwhile
+      RobEntry& e = ctx.rob.at_slot(ev.slot);
+      if (!e.forwarded && e.forward_at <= cycle_) wake_consumers(ctx, e);
+      if (e.state == EntryState::Issued && e.complete_at <= cycle_)
+        complete_entry(t, ctx, e);
+    }
+  }
+}
+
+void Core::complete_entry(int t, ThreadCtx& ctx, RobEntry& e) {
+  ctx.rob.set_state(e, EntryState::Done);
+  account_done(ctx, e);
+  acted_ = true;
+  trace(t, TraceEvent::Complete, &e);
+  if (e.inst.op != Opcode::Ret || e.fault != mem::Fault::None) return;
+
+  // The loaded return target is now known: check the RSB prediction.
+  const auto actual = static_cast<std::int32_t>(e.store_old);  // stashed
+  if (e.predicted_target == actual) {
+    if (cfg_.vendor == Vendor::Amd) pmu_.inc(PmuEvent::BP_L1_BTB_CORRECT);
+  } else if (e.predicted_target < 0) {
+    // No prediction was made; simply steer the stalled front end.
+    squash_younger(ctx, e.seq);
+    redirect_fetch(ctx, actual);
+    ctx.frontend_ready_at = std::max(ctx.frontend_ready_at, cycle_ + 2);
+  } else {
+    // Spectre-RSB misprediction resolved: squash the transient return
+    // path and resteer (no machine clear — hence TET-RSB's speed).
+    pmu_.inc(PmuEvent::BR_MISP_EXEC_ALL_BRANCHES);
+    pmu_.inc(PmuEvent::BR_MISP_EXEC_INDIRECT);
+    squash_younger(ctx, e.seq);
+    redirect_fetch(ctx, actual);
+    ctx.frontend_ready_at = std::max(
+        ctx.frontend_ready_at,
+        cycle_ + static_cast<std::uint64_t>(cfg_.resteer_cycles));
+    ctx.alloc_stall_until = std::max(
+        ctx.alloc_stall_until,
+        cycle_ + static_cast<std::uint64_t>(cfg_.resteer_cycles +
+                                            cfg_.recovery_extra_cycles));
+    pmu_.inc(PmuEvent::INT_MISC_CLEAR_RESTEER_CYCLES,
+             static_cast<std::uint64_t>(cfg_.resteer_cycles));
+    pmu_.inc(PmuEvent::INT_MISC_RECOVERY_CYCLES,
+             static_cast<std::uint64_t>(cfg_.recovery_extra_cycles));
+    pmu_.inc(PmuEvent::INT_MISC_RECOVERY_CYCLES_ANY,
+             static_cast<std::uint64_t>(cfg_.recovery_extra_cycles));
+    // The transient window ended by resteer; any inner transient
+    // mispredict was consumed by the early resolution.
+    ctx.window_mispredict = false;
   }
 }
 
@@ -1418,6 +1434,7 @@ void Core::step_retire(int t) {
     RobEntry& head = ctx.rob.front();
     if (head.state != EntryState::Done) break;
 
+    acted_ = true;
     if (head.fault != mem::Fault::None) {
       machine_clear(t, head);
       return;
@@ -1515,9 +1532,7 @@ void Core::machine_clear(int t, RobEntry& faulting) {
   // "flushclear" defense (defense::registry()): the clear also scrubs the
   // microarchitectural residue the transient window deposited — caches per
   // the configured level count, and the line-fill buffer always (its stale
-  // slots are the MDS substrate). Clears only fire on the structural path
-  // (a Done ROB head forces try_fast_forward to bail), so fast-forward
-  // identity is untouched.
+  // slots are the MDS substrate).
   if (cfg_.flush_on_clear) {
     mem_.l1().flush_all();
     if (cfg_.flush_on_clear_levels >= 2) mem_.l2().flush_all();
@@ -1562,6 +1577,7 @@ void Core::machine_clear(int t, RobEntry& faulting) {
 }
 
 void Core::inject_interrupt(std::uint64_t handler_cycles) {
+  acted_ = true;
   for (int t = 0; t < nthreads_; ++t) {
     ThreadCtx& ctx = ctx_[t];
     if (!ctx.active || ctx.halted) continue;
@@ -1610,18 +1626,27 @@ void Core::undo_store(const RobEntry& e) {
     mem_.phys().write64(e.store_paddr, e.store_old);
 }
 
+void Core::squash_back(int t, ThreadCtx& ctx) {
+  RobEntry& victim = ctx.rob.back();
+  trace(t, TraceEvent::Squash, &victim);
+  undo_store(victim);
+  unrename(ctx, victim);
+  unlink_operands(ctx, victim);
+  account_remove(ctx, victim);
+  ctx.rob.pop_back();
+}
+
 void Core::squash_younger(ThreadCtx& ctx, std::uint64_t seq) {
   const int t = &ctx == &ctx_[0] ? 0 : 1;
   std::uint64_t dropped = 0;
   while (!ctx.rob.empty() && ctx.rob.back().seq > seq) {
-    RobEntry& victim = ctx.rob.back();
-    trace(t, TraceEvent::Squash, &victim);
-    undo_store(victim);
-    unrename(ctx, victim);
-    account_remove(ctx, victim);
-    ctx.rob.pop_back();
+    squash_back(t, ctx);
     ++dropped;
   }
+  // The ready queue is seq-ordered, so the squashed entries are its tail.
+  // Their completion-queue keys stay behind and are dropped as they surface.
+  std::vector<ReadyRef>& ready = ctx.sched.ready;
+  while (!ready.empty() && ready.back().seq > seq) ready.pop_back();
   ctx.idq.clear();
   if (ctx.window_open_seq > seq) {
     // The window opener itself was on the wrong path: the window ends
@@ -1636,14 +1661,8 @@ void Core::squash_younger(ThreadCtx& ctx, std::uint64_t seq) {
 
 void Core::squash_all(ThreadCtx& ctx) {
   const int t = &ctx == &ctx_[0] ? 0 : 1;
-  while (!ctx.rob.empty()) {
-    RobEntry& victim = ctx.rob.back();
-    trace(t, TraceEvent::Squash, &victim);
-    undo_store(victim);
-    unrename(ctx, victim);
-    account_remove(ctx, victim);
-    ctx.rob.pop_back();
-  }
+  while (!ctx.rob.empty()) squash_back(t, ctx);
+  ctx.sched.clear();
   ctx.window_open_seq = 0;
 }
 
@@ -1661,16 +1680,20 @@ void Core::redirect_fetch(ThreadCtx& ctx, std::int32_t target) {
 // Per-cycle PMU accounting
 // ---------------------------------------------------------------------------
 
-void Core::per_cycle_pmu() {
-  pmu_.inc(PmuEvent::CORE_CYCLES);
+void Core::charge_cycles(std::uint32_t mask, std::uint64_t n) {
+  for (std::size_t i = 0; i < std::size(kCycleEvents); ++i)
+    if (mask & (1u << i)) pmu_.inc(kCycleEvents[i], n);
+}
 
-  if (issued_uops_this_cycle_ == 0) {
-    pmu_.inc(PmuEvent::UOPS_EXECUTED_STALL_CYCLES);
-    pmu_.inc(PmuEvent::UOPS_EXECUTED_CORE_CYCLES_NONE);
-    pmu_.inc(PmuEvent::CYCLE_ACTIVITY_STALLS_TOTAL);
-  }
+void Core::per_cycle_pmu() {
+  std::uint32_t mask = cycle_charge_ | cycle_bit(PmuEvent::CORE_CYCLES);
+
+  if (issued_uops_this_cycle_ == 0)
+    mask |= cycle_bit(PmuEvent::UOPS_EXECUTED_STALL_CYCLES) |
+            cycle_bit(PmuEvent::UOPS_EXECUTED_CORE_CYCLES_NONE) |
+            cycle_bit(PmuEvent::CYCLE_ACTIVITY_STALLS_TOTAL);
   if (alloc_uops_this_cycle_ == 0)
-    pmu_.inc(PmuEvent::UOPS_ISSUED_STALL_CYCLES);
+    mask |= cycle_bit(PmuEvent::UOPS_ISSUED_STALL_CYCLES);
 
   bool mem_in_flight = false;
   bool rs_nonempty = false;
@@ -1703,11 +1726,14 @@ void Core::per_cycle_pmu() {
       }
     }
   }
-  if (mem_in_flight) pmu_.inc(PmuEvent::CYCLE_ACTIVITY_CYCLES_MEM_ANY);
-  if (!rs_nonempty) pmu_.inc(PmuEvent::RS_EVENTS_EMPTY_CYCLES);
+  if (mem_in_flight) mask |= cycle_bit(PmuEvent::CYCLE_ACTIVITY_CYCLES_MEM_ANY);
+  if (!rs_nonempty) mask |= cycle_bit(PmuEvent::RS_EVENTS_EMPTY_CYCLES);
 
   if (cfg_.vendor == Vendor::Amd && ctx_[0].active && ctx_[0].idq.empty())
-    pmu_.inc(PmuEvent::DE_DIS_UOP_QUEUE_EMPTY_DI0);
+    mask |= cycle_bit(PmuEvent::DE_DIS_UOP_QUEUE_EMPTY_DI0);
+
+  cycle_charge_ = mask;
+  charge_cycles(mask, 1);
 }
 
 }  // namespace whisper::uarch

@@ -23,15 +23,20 @@
 // eagerly but logged and undone on squash), so transient execution is
 // invisible at the ISA level — as required for a transient-attack study.
 //
-// Fast-forward (docs/PERFORMANCE.md): most simulated cycles are structurally
-// inert — every in-flight load is still counting down its latency, nothing
-// can issue, allocate, fetch or retire. When the core can prove the next
-// cycle is inert it computes the exact horizon at which anything changes and
-// advances cycle/PMU state in closed form instead of stepping the pipeline.
-// The skip is exact by construction: a cycle is only skipped when the
-// structural loop would have made no state transition, so fast-forward
-// on/off is byte-identical in results, PMU deltas and traces (invariant 10,
-// docs/ARCHITECTURE.md).
+// Scheduling is event-driven (docs/PERFORMANCE.md). Each entry counts its
+// operands still in flight and sits on its producers' intrusive wake-up
+// lists; a per-thread completion queue ordered by (time, seq) fires the
+// forwarding wake-ups and completions, so a cycle visits only the entries
+// that can act. Ordered censuses of the pending fences, stores, CLFLUSHes,
+// Jcc/Ret and deferred faults answer every "an older X is not Done" gate
+// with one comparison. A cycle in which no stage changed any state is
+// inert: single-thread runs then jump straight to the next event (a queued
+// completion or forward, the allocation stall, the front end, the divider,
+// or the interference source's next tick) and charge the skipped cycles the
+// inert cycle's per-cycle PMU vector. The jump is exact by construction: it
+// only skips cycles the stages would have spent re-checking unchanged
+// state, so results, PMU images and traces are those of stepping every
+// cycle (invariant 10, docs/ARCHITECTURE.md).
 #pragma once
 
 #include <array>
@@ -60,12 +65,17 @@ namespace whisper::uarch {
 /// the front end for the returned cost on top of the machine-clear penalty.
 /// Implementations use the hook's cycle argument for their own scheduling
 /// (DVFS steps, TLB shootdowns) and must be deterministic in (seed, cycle).
-/// The hook is called for every simulated cycle even while the core is
-/// fast-forwarding an inert span, so noise schedules are mode-independent.
+/// The core skips on_cycle for the cycles of an inert span it jumps over,
+/// so an implementation must say where its schedule next acts: between
+/// `cycle` and next_tick(cycle), on_cycle may only note the time.
 class CoreInterference {
  public:
   virtual ~CoreInterference() = default;
   [[nodiscard]] virtual std::uint64_t on_cycle(std::uint64_t cycle) = 0;
+  /// Earliest cycle >= `cycle` at which on_cycle may do more than note the
+  /// time (schedule a source, fire one, or raise an interrupt). Side-effect
+  /// free.
+  [[nodiscard]] virtual std::uint64_t next_tick(std::uint64_t cycle) const = 0;
 };
 
 /// Initial architectural state for one hardware thread.
@@ -128,10 +138,10 @@ class Core {
   /// Return the core to its post-construction state — cycle counter, PMU,
   /// BPU, DSB, SMT contexts and scratch all cleared, the jitter RNG
   /// re-derived exactly as construction with cfg.seed = seed would. The
-  /// attached trace/interference hooks, the fast-forward knob and the
-  /// decode cache are left untouched (the first two belong to os::Machine
-  /// and the runner; the decode cache is a pure function of program content,
-  /// so a warm one is indistinguishable from a cold one).
+  /// attached trace/interference hooks and the decode cache are left
+  /// untouched (the hooks belong to os::Machine and the runner; the decode
+  /// cache is a pure function of program content, so a warm one is
+  /// indistinguishable from a cold one).
   void reset(std::uint64_t seed);
 
   /// Attach (or detach with nullptr) a pipeline trace sink. Any TraceSink
@@ -145,12 +155,6 @@ class Core {
   /// null pointer and the run is cycle-identical to an unhooked core.
   void set_interference(CoreInterference* noise) noexcept { noise_ = noise; }
 
-  /// Enable/disable the fast-forward execution mode (default on). Off means
-  /// every cycle steps the full structural pipeline; on is byte-identical
-  /// but skips provably inert spans in closed form. Sticky across reset().
-  void set_fast_forward(bool on) noexcept { fast_forward_ = on; }
-  [[nodiscard]] bool fast_forward() const noexcept { return fast_forward_; }
-
   /// Decode-cache hit accounting (docs/PERFORMANCE.md). Monotonic for the
   /// lifetime of the Core — reset() does not clear it, because the cache
   /// itself survives reset.
@@ -162,6 +166,14 @@ class Core {
     return decode_stats_;
   }
 
+  /// Cycles the run loop stepped through the stages; the rest of the
+  /// simulated cycles were jumped over in inert spans. Monotonic for the
+  /// lifetime of the Core, like DecodeCacheStats; host-side only, never
+  /// part of a result.
+  [[nodiscard]] std::uint64_t loop_iterations() const noexcept {
+    return loop_iterations_;
+  }
+
   /// Advance the free-running cycle counter without executing anything —
   /// used by the OS layer to charge attacker-side overheads (TLB eviction
   /// buffers, process synchronisation) to simulated time.
@@ -169,6 +181,13 @@ class Core {
 
  private:
   enum class EntryState : std::uint8_t { Waiting, Issued, Done };
+
+  /// "No link" in the wake-up lists. A link names one operand of one
+  /// consumer: (ROB slot << 2) | operand index.
+  static constexpr std::uint32_t kNoLink = 0xffffffffu;
+  /// Operand indices of the wake-up links: first and second source
+  /// register, flags.
+  static constexpr int kNumOperands = 3;
 
   struct RobEntry {
     std::uint64_t seq = 0;
@@ -184,6 +203,20 @@ class Core {
     std::uint64_t prod_a = 0;   // first source register
     std::uint64_t prod_b = 0;   // second source register
     std::uint64_t prod_flags = 0;
+
+    // Wake-up lists. `unready` counts the operands whose producer has not
+    // reached forward_at; the entry joins the ready queue when it drops to
+    // zero. Each producer heads an intrusive, youngest-first list of the
+    // consumer operands waiting on it, threaded through the consumers'
+    // next_link, so no entry owns heap storage. prod_link[k] is the slot
+    // of the producer operand k is linked to (kNoLink once woken).
+    std::uint8_t unready = 0;
+    bool forwarded = false;  // this entry's wake-ups have fired
+    std::uint32_t wake_head = kNoLink;
+    std::array<std::uint32_t, kNumOperands> prod_link{kNoLink, kNoLink,
+                                                      kNoLink};
+    std::array<std::uint32_t, kNumOperands> next_link{kNoLink, kNoLink,
+                                                      kNoLink};
 
     // Results.
     std::uint64_t result = 0;
@@ -218,13 +251,13 @@ class Core {
   };
 
   /// The reorder buffer: a contiguous power-of-two ring of RobEntry with
-  /// structure-of-arrays mirrors of the fields the per-cycle scans touch
-  /// (state, complete_at, seq). The mirrors are kept in lockstep at the two
-  /// choke points that mutate them (set_state / set_complete) so hot sweeps
-  /// — completion wake-up, the fast-forward inertness check — stream three
-  /// flat arrays instead of striding ~160-byte entries. seq values ascend
-  /// in ring order but are NOT contiguous (squashes leave gaps), so seq
-  /// lookup is a binary search, not offset arithmetic.
+  /// structure-of-arrays mirrors of state, complete_at and seq, kept in
+  /// lockstep at the two choke points that mutate them (set_state /
+  /// set_complete). seq values ascend in ring order but are NOT contiguous
+  /// (squashes leave gaps), so seq lookup is a binary search. The ring is
+  /// reserved to the configured ROB size before a run and never grows
+  /// during one, so an entry keeps its slot for its whole lifetime — the
+  /// wake-up lists and the completion queue address entries by slot.
   class RobRing {
    public:
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -251,6 +284,8 @@ class Core {
       return complete_[phys(i)];
     }
 
+    /// Room for `n` entries without growing (keeps the contents).
+    void reserve(std::size_t n);
     void push_back(RobEntry e);
     void pop_front() noexcept {
       head_ = (head_ + 1) & mask_;
@@ -274,15 +309,25 @@ class Core {
     /// Entry with the given seq, or nullptr (retired/squashed/never
     /// existed). Binary search over the ascending-with-gaps seq mirror.
     [[nodiscard]] RobEntry* by_seq(std::uint64_t seq) noexcept;
+    /// Ring index of the first entry with seq >= `seq` (size() if none).
+    [[nodiscard]] std::size_t lower_bound(std::uint64_t seq) const noexcept;
+
+    [[nodiscard]] std::uint32_t slot(const RobEntry& e) const noexcept {
+      return static_cast<std::uint32_t>(&e - buf_.data());
+    }
+    [[nodiscard]] RobEntry& at_slot(std::uint32_t s) noexcept {
+      return buf_[s];
+    }
+    /// Does slot `s` hold the in-flight entry `seq`? False once that entry
+    /// retired or was squashed, even while its bytes linger in the slot.
+    [[nodiscard]] bool live(std::uint32_t s, std::uint64_t seq) const noexcept {
+      return ((s - head_) & mask_) < size_ && seq_[s] == seq;
+    }
 
    private:
     [[nodiscard]] std::size_t phys(std::size_t i) const noexcept {
       return (head_ + i) & mask_;
     }
-    [[nodiscard]] std::size_t slot(const RobEntry& e) const noexcept {
-      return static_cast<std::size_t>(&e - buf_.data());
-    }
-    void grow();
 
     static constexpr std::size_t kInitialCap = 64;
 
@@ -293,6 +338,66 @@ class Core {
     std::size_t head_ = 0;
     std::size_t size_ = 0;
     std::size_t mask_ = 0;
+  };
+
+  /// An ordered census: the seqs of the in-flight entries in one class,
+  /// ascending. "An older X is pending" is a comparison against front().
+  /// Allocation appends, squashes remove the youngest — both O(1) — and
+  /// out-of-order completions erase from the (short) middle.
+  class SeqCensus {
+   public:
+    [[nodiscard]] bool empty() const noexcept { return s_.empty(); }
+    [[nodiscard]] std::uint64_t oldest() const noexcept {
+      return s_.empty() ? ~std::uint64_t{0} : s_.front();
+    }
+    [[nodiscard]] bool has_older(std::uint64_t seq) const noexcept {
+      return !s_.empty() && s_.front() < seq;
+    }
+    [[nodiscard]] const std::vector<std::uint64_t>& seqs() const noexcept {
+      return s_;
+    }
+    void insert(std::uint64_t seq);
+    void erase(std::uint64_t seq);
+    void clear() noexcept { s_.clear(); }
+
+   private:
+    std::vector<std::uint64_t> s_;
+  };
+
+  /// A ready-queue slot: a Waiting entry whose operands have all arrived.
+  struct ReadyRef {
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+  /// A completion-queue key: at `time`, entry (`seq`, `slot`) forwards its
+  /// result and/or completes. Squashed entries' keys and keys superseded by
+  /// an early resolution stay behind and are dropped when they surface.
+  struct Event {
+    std::uint64_t time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+
+    /// Heap order for std::push_heap/pop_heap: earliest (time, seq) first.
+    static bool later(const Event& x, const Event& y) {
+      return x.time != y.time ? x.time > y.time : x.seq > y.seq;
+    }
+  };
+
+  /// The per-thread scheduler: censuses, ready queue and completion queue.
+  /// Grouped so recycle() can keep their storage across runs.
+  struct Scheduler {
+    SeqCensus fences;     // fences (LFENCE/MFENCE) not yet Done
+    SeqCensus stores;     // stores (incl. CALL) not yet Done
+    SeqCensus clflushes;  // CLFLUSHes not yet Done
+    SeqCensus jccs;       // conditional branches not yet Done
+    SeqCensus rets;       // returns not yet Done
+    SeqCensus faults;     // entries carrying a deferred fault
+    /// Waiting entries with every operand ready, ascending seq.
+    std::vector<ReadyRef> ready;
+    /// Min-heap on (time, seq).
+    std::vector<Event> events;
+
+    void clear() noexcept;
   };
 
   struct IdqEntry {
@@ -351,26 +456,12 @@ class Core {
     std::array<std::uint64_t, isa::kNumRegs> reg_writer{};
     std::uint64_t flags_writer = 0;
 
-    // Scheduling census, maintained by the account_* choke points. These
-    // make the per-cycle PMU derivation and the issue-guard scans O(1) in
-    // the common case, and feed the fast-forward inertness check.
+    // Occupancy counts, maintained by the account_* choke points; the
+    // per-cycle PMU vector is derived from them.
     int waiting_count = 0;    // entries Waiting (reservation-station load)
     int issued_loads = 0;     // loads currently Issued (in flight)
     int done_count = 0;       // entries Done, not yet retired
-    /// Seqs of the pending (non-Done) fences, ascending. Fence issue is
-    /// serialised behind all older entries, so completions pop the front in
-    /// order, and squashes pop non-Done entries youngest-first, i.e. the
-    /// back — both O(1). fence_blocks() reduces to a front() comparison.
-    std::vector<std::uint64_t> fence_seqs;
-    int pending_stores = 0;   // stores (incl. CALL) not yet Done
-    int pending_clflush = 0;  // CLFLUSHes not yet Done
-    int pending_jcc = 0;      // conditional branches not yet Done
-    int pending_ret = 0;      // returns not yet Done
-    int pending_faults = 0;   // entries carrying a deferred fault
-    /// Divides still Waiting. Non-zero means divider occupancy can gate an
-    /// issue, so the fast-forward horizon must stop at divider_busy_until_
-    /// — the census half of the divider's invariant-10 contract.
-    int pending_div = 0;
+    Scheduler sched;
 
     // Transient-window bookkeeping.
     bool window_mispredict = false;
@@ -391,13 +482,21 @@ class Core {
   };
 
   /// Reset a context to its default-constructed state while recycling the
-  /// heap storage of its containers (ROB/IDQ rings, DSB set, tsc log).
-  /// run() re-primes a context once per program invocation — thousands of
-  /// times per trial — and must not re-grow the rings from scratch each
-  /// time.
+  /// heap storage of its containers (ROB/IDQ rings, DSB set, scheduler
+  /// queues, tsc log). run() re-primes a context once per program
+  /// invocation — thousands of times per trial — and must not re-grow the
+  /// rings from scratch each time.
   static void recycle(ThreadCtx& ctx);
 
   RunResult run_internal(std::uint64_t cycle_limit);
+
+  /// One cycle through every stage. Sets acted_ when any stage changed
+  /// state beyond time and the per-cycle PMU vector.
+  void step_cycle();
+  /// After an inert cycle: advance cycle_ to the next event (bounded by
+  /// the deadline) and charge the skipped cycles the inert cycle's PMU
+  /// vector. Single-thread runs only.
+  void jump_to_next_event(std::uint64_t deadline);
 
   void step_fetch(int t);
   void step_alloc(int t);
@@ -406,22 +505,19 @@ class Core {
   void step_retire(int t);
   void per_cycle_pmu();
 
-  /// All issue-gate checks except port capacity: fence serialisation,
-  /// store/clflush drain ordering, operand readiness. Side-effect free —
-  /// shared between try_issue_entry and the fast-forward dry run.
-  [[nodiscard]] bool issue_ready(ThreadCtx& ctx, const RobEntry& e);
-  /// If the coming cycle is provably inert (single-thread mode only),
-  /// advance cycle/PMU state to the exact horizon where the pipeline next
-  /// acts and return true. When the noise hook raises an interrupt at some
-  /// cycle inside the span, stops there with `pending_interrupt` set so the
-  /// caller runs that cycle structurally. Returns false (no side effects)
-  /// when the cycle must be stepped structurally.
-  bool try_fast_forward(std::uint64_t deadline,
-                        std::uint64_t& pending_interrupt);
+  /// The issue gates other than port capacity and operand readiness (which
+  /// the ready queue guarantees): divider occupancy, fence serialisation,
+  /// the lfence defense, fence/RDTSCP wait-for-older, store/clflush drain
+  /// ordering. Side-effect free; every gate reads a census, so its answer
+  /// only changes at a completion, a squash or the divider's release.
+  [[nodiscard]] bool issue_ready(const ThreadCtx& ctx, const RobEntry& e) const;
 
-  void try_issue_entry(ThreadCtx& ctx, RobEntry& e, int& loads, int& stores,
-                       int& branches, int& issued_uops);
+  /// Issue ready-queue entry `idx` if ports and gates allow; true if it
+  /// issued (and executed).
+  bool try_issue_entry(ThreadCtx& ctx, std::size_t idx, int& loads,
+                       int& stores, int& branches, int& issued_uops);
   void execute_entry(ThreadCtx& ctx, RobEntry& e);
+  void complete_entry(int t, ThreadCtx& ctx, RobEntry& e);
   void resolve_branch(ThreadCtx& ctx, RobEntry& e, bool actual_taken,
                       std::int32_t actual_target);
   void handle_transient_shortcuts(ThreadCtx& ctx, const RobEntry& branch);
@@ -432,6 +528,8 @@ class Core {
   void inject_interrupt(std::uint64_t handler_cycles);
   void squash_younger(ThreadCtx& ctx, std::uint64_t seq);
   void squash_all(ThreadCtx& ctx);
+  /// Remove the youngest ROB entry (squash path): undo, unrename, unlink.
+  void squash_back(int t, ThreadCtx& ctx);
   void undo_store(const RobEntry& e);
   void redirect_fetch(ThreadCtx& ctx, std::int32_t target);
 
@@ -440,32 +538,49 @@ class Core {
   static void account_issue(ThreadCtx& ctx, const RobEntry& e);
   static void account_done(ThreadCtx& ctx, const RobEntry& e);
   static void account_remove(ThreadCtx& ctx, const RobEntry& e);
+  static void leave_pending(ThreadCtx& ctx, const RobEntry& e);
   static void unrename(ThreadCtx& ctx, const RobEntry& e);
+
+  // Wake-up lists and queues.
+  /// Link operand `k` of the newly allocated `c` to its producer `seq`
+  /// when that producer's result has not arrived yet.
+  static void link_operand(ThreadCtx& ctx, RobEntry& c, int k,
+                           std::uint64_t seq);
+  static void unlink_operands(ThreadCtx& ctx, const RobEntry& c);
+  /// Fire `p`'s wake-ups: every linked consumer operand becomes ready.
+  static void wake_consumers(ThreadCtx& ctx, RobEntry& p);
+  static void ready_insert(ThreadCtx& ctx, const RobEntry& e);
+  /// Queue `e`'s forward and completion times (after execute or an early
+  /// resolution); wakes its consumers at once if forward_at has passed.
+  void schedule_events(ThreadCtx& ctx, RobEntry& e);
+  /// Earliest time an entry in the completion queue acts (dropping keys
+  /// that no longer name a pending forward or completion); ~0 if none.
+  [[nodiscard]] static std::uint64_t next_queued_event(ThreadCtx& ctx);
 
   /// Decoded form of `prog`, via the content-hash-keyed decode cache.
   [[nodiscard]] std::shared_ptr<const DecodedProgram> decoded_for(
       const isa::Program& prog);
 
-  [[nodiscard]] RobEntry* find_entry(ThreadCtx& ctx, std::uint64_t seq);
   [[nodiscard]] std::uint64_t read_operand(ThreadCtx& ctx, isa::Reg r,
                                            std::uint64_t producer);
   [[nodiscard]] isa::Flags read_flags(ThreadCtx& ctx, std::uint64_t producer);
-  [[nodiscard]] bool operand_ready(ThreadCtx& ctx, std::uint64_t producer)
-      const;
   [[nodiscard]] bool operand_tainted(ThreadCtx& ctx, std::uint64_t producer);
-  [[nodiscard]] bool fence_blocks(const ThreadCtx& ctx,
-                                  std::uint64_t seq) const;
-  [[nodiscard]] bool older_window_exists(const ThreadCtx& ctx,
-                                         std::uint64_t seq) const;
+  /// Seq of the oldest entry not yet Done (~0 if none).
+  [[nodiscard]] static std::uint64_t oldest_pending(const ThreadCtx& ctx);
+  [[nodiscard]] static bool older_window_exists(const ThreadCtx& ctx,
+                                                std::uint64_t seq);
   /// "window" defense gate: allocation blocked because the configured
-  /// transient-depth clamp is full. Side-effect free — shared between
-  /// step_alloc and the fast-forward dry run (invariant 10).
+  /// transient-depth clamp is full.
   [[nodiscard]] bool alloc_window_clamped(const ThreadCtx& ctx) const;
 
   void trace(int thread, TraceEvent event, const RobEntry* e = nullptr,
              std::uint64_t count = 0);
   void trace_raw(int thread, TraceEvent event, std::int32_t pc,
                  isa::Opcode op, std::uint64_t seq);
+
+  /// Charge `n` cycles of the per-cycle PMU vector `mask` (bits index
+  /// kCycleEvents in core.cpp).
+  void charge_cycles(std::uint32_t mask, std::uint64_t n);
 
   CpuConfig cfg_;
   mem::MemorySystem& mem_;
@@ -474,16 +589,14 @@ class Core {
   stats::Xoshiro256 rng_;
   TraceSink* trace_ = nullptr;
   CoreInterference* noise_ = nullptr;
-  bool fast_forward_ = true;
 
   std::uint64_t cycle_ = 0;
   std::uint64_t avx_warm_until_ = 0;  // AVX power-gating state
   /// Non-pipelined divider occupancy: no divide issues before this cycle.
   /// Set at divide issue, it outlives a squash of the divide that set it
   /// (the SpectreRewind residue); cleared only by machine clears,
-  /// interrupts and reset(). issue_ready() gates on it and
-  /// try_fast_forward() clamps its horizon to it, so both execution modes
-  /// honour the occupancy identically (invariant 10).
+  /// interrupts and reset(). issue_ready() gates on it, and its release is
+  /// one of the events an inert span jumps to.
   std::uint64_t divider_busy_until_ = 0;
   std::uint64_t shared_frontend_busy_until_ = 0;
   int nthreads_ = 1;
@@ -506,10 +619,14 @@ class Core {
   std::vector<std::pair<std::uint64_t, std::shared_ptr<const DecodedProgram>>>
       decode_cache_;
   DecodeCacheStats decode_stats_;
+  std::uint64_t loop_iterations_ = 0;
 
-  // Per-cycle scratch used by per_cycle_pmu().
+  // Per-cycle scratch.
   int issued_uops_this_cycle_ = 0;
   int alloc_uops_this_cycle_ = 0;
+  bool acted_ = false;              // some stage changed state this cycle
+  std::uint32_t cycle_charge_ = 0;  // this cycle's per-cycle PMU vector
+  std::vector<Event> due_;          // step_complete's due keys
 };
 
 }  // namespace whisper::uarch

@@ -2,9 +2,10 @@
 // round-trip every surface shares (CLI string → DefenseSpec → JSON → serve
 // wire → machine options), the legacy kpti/flare/fgkaslr aliasing, and —
 // the part that guards the simulator's contracts — identity of every NEW
-// defense under snapshot/reset (invariant 8) and fast-forward
-// (invariant 10): a defense that perturbs either would silently corrupt
-// the pooled trial path for the whole defense_matrix grid.
+// defense under snapshot/reset (invariant 8): a defense that perturbs it
+// would silently corrupt the pooled trial path for the whole
+// defense_matrix grid — and of invariant 10 for the same stacks, checked
+// against the recorded scheduler corpus (tests/support/scheduler_corpus.h).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -21,6 +22,7 @@
 #include "runner/machine_pool.h"
 #include "runner/runner.h"
 #include "serve/protocol.h"
+#include "support/scheduler_corpus.h"
 #include "uarch/config.h"
 #include "uarch/pmu.h"
 
@@ -287,8 +289,8 @@ TEST(ServeDefenses, MalformedDefenseStringsAreProtocolErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Identity: every new defense must leave invariants 8 (reset ≡ fresh) and
-// 10 (fast-forward ≡ structural) intact. Same idiom as
+// Identity: every new defense must leave invariant 8 (reset ≡ fresh) and
+// invariant 10 (scheduler ≡ recorded corpus) intact. Same idiom as
 // tests/test_machine_reset.cpp, parameterized over the defense stacks.
 // ---------------------------------------------------------------------------
 
@@ -365,27 +367,12 @@ TEST_P(DefenseIdentityTest, ResetMachineMatchesFreshForEveryAttack) {
   }
 }
 
+// Invariant 10 under each stack: the scheduler skips inert cycle spans
+// (next-event jumps), and every attack must still match the digests
+// recorded from the cycle-by-cycle structural pipeline.
 TEST_P(DefenseIdentityTest, FastForwardMatchesStructuralForEveryAttack) {
-  os::MachineOptions opts;
-  opts.model = uarch::CpuModel::KabyLakeI7_7700;
-  opts.seed = 0x777ull;
-  defense::apply(defense::parse_list(GetParam()), opts);
-
-  for (const core::AttackInfo& info : core::attack_registry()) {
-    const std::string what =
-        info.name + std::string(" under ") + GetParam() + " [fast-forward]";
-
-    os::Machine structural(opts);
-    structural.core().set_fast_forward(false);
-    const AttackRun a = run_attack(structural, info);
-
-    os::Machine fast(opts);
-    ASSERT_TRUE(fast.core().fast_forward());
-    const AttackRun b = run_attack(fast, info);
-
-    expect_identical(a.result, b.result, what);
-    EXPECT_EQ(a.pmu, b.pmu) << "PMU deltas diverged: " << what;
-  }
+  test_support::corpus::expect_recorded(
+      test_support::corpus::defense_cases(GetParam()));
 }
 
 std::string stack_name(const ::testing::TestParamInfo<const char*>& info) {

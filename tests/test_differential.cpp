@@ -118,53 +118,6 @@ TEST_P(ResetDifferentialTest, RerunAfterResetMatchesReferenceBothTimes) {
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, ResetDifferentialTest,
                          ::testing::Values(3ull, 17ull, 29ull, 41ull));
 
-// Fast-forward differential: the same random programs on two machines that
-// differ only in the fast-forward knob. Cycle counts, architectural
-// registers and the full PMU image must be identical — invariant 10's
-// random-program leg (docs/ARCHITECTURE.md), covering instruction mixes no
-// attack gadget exercises.
-class FastForwardDifferentialTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FastForwardDifferentialTest, FastForwardIsCycleIdenticalToStructural) {
-  ProgramGenerator gen(GetParam() ^ 0xffa57ull);
-  for (int round = 0; round < 3; ++round) {
-    const isa::Program prog = gen.generate(60);
-    const auto init = gen.random_regs();
-
-    os::Machine structural({.model = uarch::CpuModel::KabyLakeI7_7700,
-                            .seed = GetParam() + 7});
-    structural.core().set_fast_forward(false);
-    const auto slow = structural.run_user(prog, init, -1, 400'000);
-    ASSERT_FALSE(slow.cycle_limit_hit);
-
-    os::Machine forwarded({.model = uarch::CpuModel::KabyLakeI7_7700,
-                           .seed = GetParam() + 7});
-    ASSERT_TRUE(forwarded.core().fast_forward());  // the shipping default
-    const auto fast = forwarded.run_user(prog, init, -1, 400'000);
-    ASSERT_FALSE(fast.cycle_limit_hit);
-
-    EXPECT_EQ(fast.cycles(), slow.cycles())
-        << "fast-forward skipped a non-inert span (seed " << GetParam()
-        << " round " << round << ")\n"
-        << prog.disassemble();
-    for (Reg r : kPool) {
-      const auto idx = static_cast<std::size_t>(r);
-      EXPECT_EQ(fast.t0().regs[idx], slow.t0().regs[idx])
-          << "register " << isa::to_string(r) << " diverged (seed "
-          << GetParam() << " round " << round << ")\n"
-          << prog.disassemble();
-    }
-    EXPECT_EQ(forwarded.core().pmu().snapshot(),
-              structural.core().pmu().snapshot())
-        << "PMU image diverged (seed " << GetParam() << " round " << round
-        << ")";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomPrograms, FastForwardDifferentialTest,
-                         ::testing::Values(3ull, 17ull, 29ull, 41ull));
-
 // Hand-written loop programs — fixed trip counts the generator's random
 // loops don't guarantee to hit.
 TEST(DifferentialLoopTest, CountedLoopsAgree) {

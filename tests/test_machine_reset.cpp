@@ -226,54 +226,6 @@ INSTANTIATE_TEST_SUITE_P(
     cell_name);
 
 // ---------------------------------------------------------------------------
-// Fast-forward exactness (invariant 10, docs/ARCHITECTURE.md): the
-// fast-forward core may skip provably inert cycle spans, but every
-// observable — AttackResult, PMU delta, traces, metrics — must be
-// byte-identical to the cycle-by-cycle structural pipeline. Same coverage
-// grid as the reset suite: every registry attack × every CPU preset ×
-// noise {off, desktop}.
-// ---------------------------------------------------------------------------
-
-class FastForwardIdentityTest : public ::testing::TestWithParam<Cell> {};
-
-TEST_P(FastForwardIdentityTest, FastForwardMatchesStructuralForEveryAttack) {
-  const auto [model, noisy] = GetParam();
-
-  os::MachineOptions opts;
-  opts.model = model;
-  opts.noise = noisy ? noise::NoiseProfile::desktop()
-                     : noise::NoiseProfile::off();
-  opts.seed = 0x777ull;
-
-  for (const core::AttackInfo& info : core::attack_registry()) {
-    const std::string what =
-        info.name + " on model " + std::to_string(static_cast<int>(model)) +
-        (noisy ? " (desktop noise)" : " (no noise)") + " [fast-forward]";
-
-    os::Machine structural(opts);
-    structural.core().set_fast_forward(false);
-    const AttackRun a = run_attack(structural, info);
-
-    os::Machine fast(opts);
-    ASSERT_TRUE(fast.core().fast_forward());  // the shipping default is on
-    const AttackRun b = run_attack(fast, info);
-
-    expect_identical(a.result, b.result, what);
-    EXPECT_EQ(a.pmu, b.pmu) << "PMU deltas diverged: " << what;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPresets, FastForwardIdentityTest,
-    ::testing::Combine(::testing::Values(uarch::CpuModel::SkylakeI7_6700,
-                                         uarch::CpuModel::KabyLakeI7_7700,
-                                         uarch::CpuModel::CometLakeI9_10980XE,
-                                         uarch::CpuModel::RaptorLakeI9_13900K,
-                                         uarch::CpuModel::Zen3Ryzen5_5600G),
-                       ::testing::Bool()),
-    cell_name);
-
-// ---------------------------------------------------------------------------
 // Runner-level byte identity: the two trial paths (fresh construction vs
 // pooled reset) must yield identical results, traces and metrics.
 // ---------------------------------------------------------------------------
@@ -328,24 +280,6 @@ TEST(RunnerResetPath, TraceAndMetricsBytesAreIdentical) {
 
   const runner::RunResult a = runner::run(reused, /*jobs=*/1);
   const runner::RunResult b = runner::run(fresh, /*jobs=*/1);
-  ASSERT_GT(a.events.size(), 0u);
-  EXPECT_EQ(obs::to_chrome_trace(a.events), obs::to_chrome_trace(b.events));
-  EXPECT_EQ(runner::to_metrics(a).to_json(), runner::to_metrics(b).to_json());
-}
-
-TEST(RunnerFastForward, TrialsTracesAndMetricsMatchStructuralRun) {
-  // The RunSpec knob end to end: a fast-forward run and a structural run of
-  // the Fig. 1 spec must agree on every trial field and on both observable
-  // byte streams (Chrome trace, metrics export).
-  runner::RunSpec on = fig1_spec();  // fast_forward defaults to true
-  runner::RunSpec off = fig1_spec();
-  off.fast_forward = false;
-
-  const runner::RunResult a = runner::run(on, /*jobs=*/1);
-  const runner::RunResult b = runner::run(off, /*jobs=*/1);
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    expect_identical(a.trials[i], b.trials[i]);
   ASSERT_GT(a.events.size(), 0u);
   EXPECT_EQ(obs::to_chrome_trace(a.events), obs::to_chrome_trace(b.events));
   EXPECT_EQ(runner::to_metrics(a).to_json(), runner::to_metrics(b).to_json());

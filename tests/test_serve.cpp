@@ -139,6 +139,8 @@ TEST(ServeProtocol, RejectsSchemaViolations) {
        "unknown verb 'dance' (verbs: run, ping, list, metrics, shutdown)"},
       {R"({"id":1,"verb":"run","attack":"cc","trails":3})",
        "unknown field 'trails' in run request"},
+      {R"({"id":1,"verb":"run","attack":"cc","fast_forward":false})",
+       "unknown field 'fast_forward' in run request"},
       {R"({"id":1,"verb":"ping","attack":"cc"})",
        "field 'attack' not allowed with verb 'ping'"},
       {R"({"id":1,"verb":"run","attack":7})", "field 'attack' must be a string"},
@@ -170,6 +172,77 @@ TEST(ServeProtocol, RejectsOversizedRequestLines) {
     EXPECT_NE(std::string(e.what()).find("request line exceeds"),
               std::string::npos);
   }
+}
+
+// Integer fields are read from the literal, not through a double: 2^53 + 1
+// has no double, so a lossy parser would silently run seed 2^53.
+TEST(ServeProtocol, IntegerFieldsAreExactAboveTwoToThe53) {
+  constexpr std::uint64_t kSeed = (std::uint64_t{1} << 53) + 1;
+  const Request req = parse_request(
+      R"({"id":1,"verb":"run","attack":"cc","seed":9007199254740993,)"
+      R"("payload_seed":18446744073709551615,"trials":2147483647})");
+  EXPECT_EQ(req.spec.base_seed, kSeed);
+  EXPECT_EQ(req.spec.payload_seed, ~std::uint64_t{0});
+  EXPECT_EQ(req.spec.trials, 2147483647);
+  // Integral spellings with a fraction or exponent still read exactly
+  // while the double is exact.
+  EXPECT_EQ(parse_request(R"({"id":1,"verb":"run","attack":"cc","seed":4e3})")
+                .spec.base_seed,
+            4000u);
+}
+
+TEST(ServeProtocol, RejectsIntegersOutsideTheirField) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"id":1,"verb":"run","attack":"cc","seed":18446744073709551616})",
+       "field 'seed' is out of range"},
+      {R"({"id":1,"verb":"run","attack":"cc","seed":1e300})",
+       "field 'seed' is out of range"},
+      {R"({"id":1,"verb":"run","attack":"cc","seed":9007199254740993.0})",
+       "field 'seed' is out of range"},
+      {R"({"id":1,"verb":"run","attack":"cc","seed":-1})",
+       "field 'seed' must be a non-negative integer"},
+      {R"({"id":1,"verb":"run","attack":"cc","trials":2147483648})",
+       "field 'trials' is out of range"},
+      {R"({"id":1,"verb":"run","attack":"cc","retries":-2147483649})",
+       "field 'retries' is out of range"},
+      {R"({"id":18446744073709551616,"verb":"ping"})",
+       "field 'id' is out of range"},
+  };
+  for (const auto& [line, want] : cases) {
+    try {
+      (void)parse_request(line);
+      FAIL() << "accepted: " << line;
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeDeterminism, SeedAboveTwoToThe53IsServedAsSent) {
+  constexpr std::uint64_t kSeed = (std::uint64_t{1} << 53) + 1;
+  runner::RunSpec spec;
+  spec.attack = "cc";
+  spec.trials = 2;
+  spec.base_seed = kSeed;
+  spec.batches = 2;
+  spec.payload_bytes = 2;
+  spec.rounds = 1;
+  const runner::RunResult reference = runner::run(spec, /*jobs=*/1);
+
+  LoopbackTransport transport;
+  Server server(transport, {.jobs = 1, .pool_capacity = 1});
+  server.start();
+  const auto lines = transact(transport, {run_request(4, "cc", kSeed, 2)});
+  server.stop();
+
+  ASSERT_EQ(lines.size(), 3u);  // 2 trials + done
+  for (std::size_t i = 0; i < 2; ++i) {
+    const runner::ScheduledTrial st{reference.trials[i],
+                                    reference.outcomes[i]};
+    EXPECT_EQ(lines[i], response_trial(4, i, st)) << "trial " << i;
+  }
+  EXPECT_EQ(lines[2], response_done(4, reference));
 }
 
 // ---------------------------------------------------------------------------
