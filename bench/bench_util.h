@@ -4,12 +4,13 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "isa/isa.h"
 #include "obs/metrics.h"
+#include "stats/json.h"
 #include "stats/rng.h"
 
 namespace whisper::bench {
@@ -41,81 +42,79 @@ inline void subheading(const std::string& title) {
 
 inline const char* mark(bool ok) { return ok ? "✓" : "✗"; }
 
-/// Flags shared by the runner-backed harnesses:
-///   --jobs N           worker threads (0/auto = hardware concurrency;
-///                      default 1, the sequential reference — results are
-///                      identical either way, see whisper::runner)
-///   --progress         per-trial completion lines on stderr
-///   --json PATH        write the run's trajectory as JSON
-///   --trace-out PATH   write a Chrome trace-event JSON (load in
-///                      chrome://tracing or ui.perfetto.dev) of a
-///                      representative execution — see each harness for
-///                      what it traces
-///   --metrics-out PATH write everything the harness measured as a
-///                      named-metric JSON registry (obs::MetricsRegistry);
-///                      a .csv extension selects CSV instead
-///
-/// Fault-tolerance knobs (whisper::runner's recovery layer — see
-/// docs/ARCHITECTURE.md "Failure semantics & fault injection"):
-///   --retries R                extra attempts per failed trial (default 0)
-///   --trial-cycle-budget C     simulated-cycle cap per trial attempt
-///   --trial-wall-budget SECS   host wall-clock watchdog per trial attempt
-///   --verify-reset             digest-check pooled machines after reset()
-///   --fault-plan PLAN          seeded fault injection, e.g.
-///                              "throw@2;corrupt@5" (src/fault/fault.h)
-struct HarnessArgs {
-  int jobs = 1;
-  bool progress = false;
-  std::string json;
-  std::string trace_out;
-  std::string metrics_out;
-  int retries = 0;
-  std::uint64_t trial_cycle_budget = 0;
-  double trial_wall_budget = 0.0;
-  bool verify_reset = false;
-  std::string fault_plan;
-};
+/// The runner flags the runner-backed harnesses share (docs/REPRODUCING.md
+/// "Flags: what each binary reads"). A binary lists the ones it reads in
+/// its own table.
+inline const cli::Flag kJobsFlag{
+    .name = "--jobs", .kind = cli::Kind::Int, .def = "1",
+    .help = "worker threads, 0 or auto = all cores; results never change",
+    .min = 0, .zero_word = "auto"};
+inline const cli::Flag kProgressFlag{
+    .name = "--progress", .help = "per-trial completion lines on stderr"};
+inline const cli::Flag kJsonFlag{.name = "--json", .kind = cli::Kind::String,
+                                 .help = "write the run's trajectory as JSON"};
+inline const cli::Flag kTraceOutFlag{
+    .name = "--trace-out", .kind = cli::Kind::String,
+    .help = "write a Chrome trace-event JSON of a representative execution"};
+inline const cli::Flag kMetricsOutFlag{
+    .name = "--metrics-out", .kind = cli::Kind::String,
+    .help = "write every measurement as a metrics registry (.csv = CSV)"};
 
-inline HarnessArgs parse_harness_args(int argc, char** argv) {
-  HarnessArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--jobs" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      out.jobs = (v == "auto") ? 0 : std::atoi(v.c_str());
-    } else if (a == "--progress") {
-      out.progress = true;
-    } else if (a == "--json" && i + 1 < argc) {
-      out.json = argv[++i];
-    } else if (a == "--trace-out" && i + 1 < argc) {
-      out.trace_out = argv[++i];
-    } else if (a == "--metrics-out" && i + 1 < argc) {
-      out.metrics_out = argv[++i];
-    } else if (a == "--retries" && i + 1 < argc) {
-      out.retries = std::atoi(argv[++i]);
-    } else if (a == "--trial-cycle-budget" && i + 1 < argc) {
-      out.trial_cycle_budget = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--trial-wall-budget" && i + 1 < argc) {
-      out.trial_wall_budget = std::atof(argv[++i]);
-    } else if (a == "--verify-reset") {
-      out.verify_reset = true;
-    } else if (a == "--fault-plan" && i + 1 < argc) {
-      out.fault_plan = argv[++i];
-    }
-  }
-  return out;
+/// `table` plus the fault-tolerance knobs apply_fault_args() reads
+/// (whisper::runner's recovery layer — docs/ARCHITECTURE.md "Failure
+/// semantics & fault injection").
+inline cli::Table with_fault_flags(cli::Table table) {
+  table.insert(table.end(), {
+      {.name = "--retries", .kind = cli::Kind::Int, .def = "0",
+       .help = "extra attempts per failed trial", .min = 0},
+      {.name = "--trial-cycle-budget", .kind = cli::Kind::Uint, .def = "0",
+       .help = "simulated-cycle cap per trial attempt (0 = off)"},
+      {.name = "--trial-wall-budget", .kind = cli::Kind::Double, .def = "0",
+       .help = "host wall-clock seconds per trial attempt (0 = off)",
+       .min = 0},
+      {.name = "--verify-reset",
+       .help = "digest-check pooled machines after reset()"},
+      {.name = "--fault-plan", .kind = cli::Kind::String,
+       .help = "seeded fault injection, e.g. \"throw@2;corrupt@5\""},
+  });
+  return table;
 }
 
 /// Copy the fault-tolerance knobs onto a runner::RunSpec (templated so this
 /// header needs no runner dependency; any struct with the same field names
 /// works).
 template <typename Spec>
-inline void apply_fault_args(Spec& spec, const HarnessArgs& a) {
-  spec.retries = a.retries;
-  spec.trial_cycle_budget = a.trial_cycle_budget;
-  spec.trial_wall_budget = a.trial_wall_budget;
-  spec.verify_reset = a.verify_reset;
-  spec.fault_plan = a.fault_plan;
+inline void apply_fault_args(Spec& spec, const cli::Args& a) {
+  spec.retries = a.integer("--retries");
+  spec.trial_cycle_budget = a.uint("--trial-cycle-budget");
+  spec.trial_wall_budget = a.real("--trial-wall-budget");
+  spec.verify_reset = a.has("--verify-reset");
+  spec.fault_plan = a.str("--fault-plan");
+}
+
+/// --json convention: re-parse `body` (a harness that emits malformed JSON
+/// has a bug) and write it with a trailing newline. Says why on stderr and
+/// returns false when either step fails.
+inline bool write_json(const std::string& program, const std::string& path,
+                       const std::string& body, const std::string& what) {
+  try {
+    (void)stats::json_parse(body);
+  } catch (const stats::JsonError& e) {
+    std::fprintf(stderr, "%s: generated invalid JSON (bug): %s\n",
+                 program.c_str(), e.what());
+    return false;
+  }
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "%s: cannot open %s for writing\n", program.c_str(),
+                 path.c_str());
+    return false;
+  }
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fputc('\n', f);
+  std::fclose(f);
+  std::printf("\n(%s written to %s)\n", what.c_str(), path.c_str());
+  return true;
 }
 
 /// --metrics-out convention: the extension picks the format.

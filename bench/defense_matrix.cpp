@@ -10,32 +10,19 @@
 // byte-for-byte (the tier-2 `bench_matrix_json` ctest entry runs this).
 //
 // The --json trajectory is *self-validated*: before it is written, the
-// harness re-parses its own bytes with the serve JSON reader and checks the
+// harness re-parses its own bytes with stats::json_parse and checks the
 // grid is complete (every coordinate exactly once, in generation order) and
 // the summary totals match a recomputation from the cells. A trajectory
 // that fails its own audit is a harness bug, and the run exits non-zero
 // without writing it.
 //
-// Extra flags on top of the shared harness set (see bench_util.h):
-//   --attacks LIST    comma-separated registry names (default: all)
-//   --cpus LIST       comma-separated preset keys: skylake, kabylake,
-//                     cometlake, raptorlake, zen3 (default: all five)
-//   --defenses LIST   comma-separated defense stacks, each a '+'-joined
-//                     combo in the --defense grammar (name[:key=value]...);
-//                     "none" is the undefended baseline. Default: the
-//                     systematization set — every registered defense alone,
-//                     the paper's kernel hardening stack, and the full
-//                     uarch stack.
-//   --noise LIST      comma-separated profiles: off, quiet, desktop,
-//                     noisy-server (default: off,desktop)
-//   --trials N        trials per cell (default 1)
-//   --bytes N         payload bytes per channel trial (default 4)
-//   --report PATH     write the Table-1-style markdown report (the
-//                     checked-in docs/DEFENSE_MATRIX.md is this output)
-//   --check           re-run the grid at --jobs 1 and fail unless the JSON
-//                     bytes match the parallel run exactly
+// The flag table in main() lists what the grid reads on top of the shared
+// runner flags (bench_util.h). --defenses takes comma-separated stacks,
+// each a '+'-joined combo in the --defense grammar (name[:key=value]...);
+// "none" is the undefended baseline. Its default is the systematization
+// set: every registered defense alone, the paper's kernel hardening stack,
+// and the full uarch stack.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -45,7 +32,7 @@
 #include "noise/noise.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
-#include "serve/protocol.h"
+#include "stats/json.h"
 #include "uarch/config.h"
 
 using namespace whisper;
@@ -72,75 +59,31 @@ const CpuKey* find_cpu(const std::string& key) {
   return nullptr;
 }
 
-std::vector<std::string> split_commas(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > pos) out.push_back(list.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+std::string comma_joined(const std::vector<std::string>& items) {
+  std::string out;
+  for (const std::string& s : items) out += (out.empty() ? "" : ",") + s;
   return out;
 }
 
 /// The default stacks: the undefended baseline, every registered defense
 /// alone, the paper's kernel hardening stack, and the full uarch stack.
-std::vector<std::string> default_stacks() {
-  std::vector<std::string> out = {"none"};
-  for (const std::string& name : defense::defense_names()) out.push_back(name);
-  out.push_back("kpti+flare+fgkaslr");
-  out.push_back("lfence+window:depth=8+retpoline+flushclear");
-  return out;
+std::string default_stacks() {
+  return "none," + comma_joined(defense::defense_names()) +
+         ",kpti+flare+fgkaslr,lfence+window:depth=8+retpoline+flushclear";
 }
 
+/// The grid axes and per-cell knobs; the defaults live in main()'s flag
+/// table.
 struct MatrixArgs {
   std::vector<std::string> attacks;
-  std::vector<std::string> cpus = {"skylake", "kabylake", "cometlake",
-                                   "raptorlake", "zen3"};
-  std::vector<std::string> stacks = default_stacks();
-  std::vector<std::string> noise = {"off", "desktop"};
-  int trials = 1;
-  std::size_t bytes = 4;
+  std::vector<std::string> cpus;
+  std::vector<std::string> stacks;
+  std::vector<std::string> noise;
+  int trials;
+  std::size_t bytes;
   std::string report;
-  bool check = false;
+  bool check;
 };
-
-MatrixArgs parse_matrix_args(int argc, char** argv) {
-  MatrixArgs out;
-  for (const core::AttackInfo& info : core::attack_registry())
-    out.attacks.push_back(info.name);
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--attacks" && i + 1 < argc) {
-      out.attacks = split_commas(argv[++i]);
-    } else if (a == "--cpus" && i + 1 < argc) {
-      out.cpus = split_commas(argv[++i]);
-    } else if (a == "--defenses" && i + 1 < argc) {
-      out.stacks = split_commas(argv[++i]);
-    } else if (a == "--noise" && i + 1 < argc) {
-      out.noise = split_commas(argv[++i]);
-    } else if (a == "--trials" && i + 1 < argc) {
-      out.trials = std::atoi(argv[++i]);
-    } else if (a == "--bytes" && i + 1 < argc) {
-      out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--report" && i + 1 < argc) {
-      out.report = argv[++i];
-    } else if (a == "--check") {
-      out.check = true;
-    }
-  }
-  return out;
-}
-
-noise::NoiseProfile noise_by_key(const std::string& key, bool* ok) {
-  *ok = true;
-  if (key == "off") return noise::NoiseProfile::off();
-  if (const auto p = noise::NoiseProfile::by_name(key)) return *p;
-  *ok = false;
-  return noise::NoiseProfile::off();
-}
 
 /// One grid coordinate. The generation order (attack → stack → cpu → noise,
 /// all innermost-last) is part of the trajectory contract: the validator
@@ -254,16 +197,16 @@ std::string render_json(const MatrixArgs& m, const std::vector<Cell>& cells) {
 /// success, the failure description otherwise.
 std::string validate_matrix_json(const std::string& body,
                                  const MatrixArgs& m) {
-  serve::JsonValue doc;
+  stats::JsonValue doc;
   try {
-    doc = serve::json_parse(body);
+    doc = stats::json_parse(body);
   } catch (const std::exception& e) {
     return std::string("trajectory does not re-parse: ") + e.what();
   }
-  const serve::JsonValue* schema = doc.get("schema");
+  const stats::JsonValue* schema = doc.get("schema");
   if (schema == nullptr || schema->string != "whisper.defense_matrix.v1")
     return "schema tag missing or wrong";
-  const serve::JsonValue* cells = doc.get("cells");
+  const stats::JsonValue* cells = doc.get("cells");
   if (cells == nullptr || !cells->is_array()) return "cells array missing";
   const std::size_t expected =
       m.attacks.size() * m.stacks.size() * m.cpus.size() * m.noise.size();
@@ -284,7 +227,7 @@ std::string validate_matrix_json(const std::string& body,
           defense::format_list(defense::parse_list(stack));
       for (const auto& cpu : m.cpus) {
         for (const auto& nz : m.noise) {
-          const serve::JsonValue& cell = cells->array[i++];
+          const stats::JsonValue& cell = cells->array[i++];
           const std::string where = "cell " + std::to_string(i - 1);
           for (const char* key : kCellKeys)
             if (cell.get(key) == nullptr)
@@ -307,7 +250,7 @@ std::string validate_matrix_json(const std::string& body,
       }
     }
   }
-  const serve::JsonValue* check = doc.get("check");
+  const stats::JsonValue* check = doc.get("check");
   if (check == nullptr || !check->is_object()) return "check block missing";
   if (static_cast<std::uint64_t>(check->get("cells")->number) != expected ||
       static_cast<std::uint64_t>(check->get("successes")->number) !=
@@ -422,43 +365,51 @@ bool write_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
-  const MatrixArgs m = parse_matrix_args(argc, argv);
+  std::vector<std::string> cpu_keys;
+  for (const CpuKey& c : kCpuKeys) cpu_keys.push_back(c.key);
+  const cli::Args args = cli::parse_or_exit(
+      "defense_matrix",
+      bench::with_fault_flags({
+          bench::kJobsFlag, bench::kProgressFlag, bench::kJsonFlag,
+          bench::kMetricsOutFlag,
+          {.name = "--attacks", .kind = cli::Kind::List,
+           .def = comma_joined(core::attack_names()),
+           .help = "registry attacks", .choices = core::attack_names()},
+          {.name = "--cpus", .kind = cli::Kind::List,
+           .def = comma_joined(cpu_keys),
+           .help = "CPU preset keys", .choices = cpu_keys},
+          {.name = "--defenses", .kind = cli::Kind::List,
+           .def = default_stacks(),
+           .help = "defense stacks, each a '+'-joined --defense combo"},
+          {.name = "--noise", .kind = cli::Kind::List, .def = "off,desktop",
+           .help = "noise profiles",
+           .choices = noise::NoiseProfile::preset_names()},
+          {.name = "--trials", .kind = cli::Kind::Int, .def = "1",
+           .help = "trials per cell", .min = 1},
+          {.name = "--bytes", .kind = cli::Kind::Uint, .def = "4",
+           .help = "payload bytes per channel trial", .min = 1},
+          {.name = "--report", .kind = cli::Kind::String,
+           .help = "write the Table-1-style markdown report"},
+          {.name = "--check",
+           .help = "re-run the grid at --jobs 1; fail on any byte "
+                   "difference"},
+      }),
+      argc, argv);
+  const MatrixArgs m{args.list("--attacks"), args.list("--cpus"),
+                     args.list("--defenses"), args.list("--noise"),
+                     args.integer("--trials"), args.uint("--bytes"),
+                     args.str("--report"), args.has("--check")};
+  const int jobs = args.integer("--jobs");
+  const std::string json = args.str("--json");
+  const std::string metrics_out = args.str("--metrics-out");
 
-  // Fail fast on every axis before any trial runs.
-  for (const std::string& a : m.attacks) {
-    if (core::find_attack(a) == nullptr) {
-      std::fprintf(stderr, "defense_matrix: unknown attack '%s' in --attacks\n",
-                   a.c_str());
-      return 2;
-    }
-  }
-  for (const std::string& c : m.cpus) {
-    if (find_cpu(c) == nullptr) {
-      std::fprintf(stderr,
-                   "defense_matrix: unknown cpu '%s' in --cpus (keys: "
-                   "skylake, kabylake, cometlake, raptorlake, zen3)\n",
-                   c.c_str());
-      return 2;
-    }
-  }
+  // The stack grammar is the one axis the table cannot check.
   for (const std::string& s : m.stacks) {
     try {
       defense::validate(defense::parse_list(s));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "defense_matrix: bad --defenses entry '%s': %s\n",
                    s.c_str(), e.what());
-      return 2;
-    }
-  }
-  for (const std::string& n : m.noise) {
-    bool ok = false;
-    (void)noise_by_key(n, &ok);
-    if (!ok) {
-      std::fprintf(stderr,
-                   "defense_matrix: unknown noise '%s' in --noise (keys: "
-                   "off, quiet, desktop, noisy-server)\n",
-                   n.c_str());
       return 2;
     }
   }
@@ -474,14 +425,13 @@ int main(int argc, char** argv) {
           defense::parse_list(stack);
       for (const std::string& cpu : m.cpus) {
         for (const std::string& nz : m.noise) {
-          bool ok = false;
           runner::RunSpec spec;
           spec.model = find_cpu(cpu)->model;
           spec.attack = attack;
           spec.trials = m.trials;
           spec.base_seed = 0xdefe5eedULL;
           spec.defenses = defenses;
-          spec.noise = noise_by_key(nz, &ok);
+          spec.noise = *noise::NoiseProfile::by_name(nz);
           spec.payload_bytes = m.bytes;
           spec.payload_seed = 0xbeefULL;
           spec.rounds = 2;
@@ -498,9 +448,9 @@ int main(int argc, char** argv) {
               m.attacks.size(), m.stacks.size(), m.cpus.size(),
               m.noise.size(), cells.size(), m.trials);
 
-  runner::Executor ex(args.jobs);
+  runner::Executor ex(jobs);
   const std::vector<runner::RunResult> results =
-      runner::run_many(specs, ex, args.progress);
+      runner::run_many(specs, ex, args.has("--progress"));
   for (std::size_t i = 0; i < cells.size(); ++i) cells[i].result = results[i];
 
   // Console view: the noise-0 aggregate table (the full detail goes to the
@@ -555,21 +505,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "defense_matrix: --check FAILED: --jobs %d trajectory "
                    "differs from --jobs 1\n",
-                   args.jobs);
+                   jobs);
       return 1;
     }
     std::printf("(--check passed: --jobs %d == --jobs 1, byte-identical)\n",
-                args.jobs);
+                jobs);
   }
 
-  if (!args.json.empty()) {
-    if (!write_file(args.json, body + "\n")) {
-      std::fprintf(stderr, "defense_matrix: cannot open %s for writing\n",
-                   args.json.c_str());
-      return 1;
-    }
-    std::printf("(matrix trajectory written to %s)\n", args.json.c_str());
-  }
+  if (!json.empty() &&
+      !bench::write_json("defense_matrix", json, body, "matrix trajectory"))
+    return 1;
 
   if (!m.report.empty()) {
     std::string invocation = "bench/defense_matrix";
@@ -582,14 +527,14 @@ int main(int argc, char** argv) {
     std::printf("(markdown report written to %s)\n", m.report.c_str());
   }
 
-  if (!args.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     obs::MetricsRegistry reg;
     for (const Cell& c : cells) {
       const std::string prefix =
           c.attack + "." + c.stack + "." + c.cpu + "." + c.noise + ".";
       reg.merge(runner::to_metrics(c.result, prefix));
     }
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, metrics_out);
   }
   return 0;
 }

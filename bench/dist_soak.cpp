@@ -27,11 +27,10 @@
 // Every scenario asserts completion and byte-identity against the cell's
 // locally-computed reference stream; duplicates re-fetched after a failure
 // are verified byte-equal by the client itself. The trajectory is written
-// to --json as BENCH_dist.json (stats::json_is_valid-checked). Non-zero
+// to --json as BENCH_dist.json (re-parsed by stats::json_parse). Non-zero
 // exit on any violation — this is the tier-2 `whisper_dist_soak` ctest.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,26 +50,23 @@ using namespace whisper;
 
 namespace {
 
+/// The soak's shape; the defaults live in parse_args()'s flag table.
 struct SoakArgs {
-  int trials = 8;
-  int chunk = 2;
+  int trials;
+  int chunk;
   std::string json;
 };
 
 SoakArgs parse_args(int argc, char** argv) {
-  SoakArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--trials" && i + 1 < argc)
-      out.trials = std::atoi(argv[++i]);
-    else if (a == "--chunk" && i + 1 < argc)
-      out.chunk = std::atoi(argv[++i]);
-    else if (a == "--json" && i + 1 < argc)
-      out.json = argv[++i];
-  }
-  if (out.trials < 4) out.trials = 4;
-  if (out.chunk < 1) out.chunk = 1;
-  return out;
+  const cli::Args a = cli::parse_or_exit(
+      "dist_soak",
+      {{.name = "--trials", .kind = cli::Kind::Int, .def = "8",
+        .help = "trials per grid cell", .min = 4},
+       {.name = "--chunk", .kind = cli::Kind::Int, .def = "2",
+        .help = "trials per sweep request", .min = 1},
+       bench::kJsonFlag},
+      argc, argv);
+  return {a.integer("--trials"), a.integer("--chunk"), a.str("--json")};
 }
 
 /// One grid cell and its locally-computed invariant-13 reference.
@@ -361,19 +357,8 @@ int main(int argc, char** argv) {
     w.value(ok);
     w.end_object();
     w.end_object();
-    if (!stats::json_is_valid(w.str())) {
-      std::fprintf(stderr, "dist_soak: generated invalid JSON (bug)\n");
+    if (!bench::write_json("dist_soak", args.json, w.str(), "trajectory"))
       return 1;
-    }
-    std::FILE* f = std::fopen(args.json.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "dist_soak: cannot open %s\n", args.json.c_str());
-      return 1;
-    }
-    std::fwrite(w.str().data(), 1, w.str().size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\n(trajectory written to %s)\n", args.json.c_str());
   }
 
   return ok ? 0 : 1;

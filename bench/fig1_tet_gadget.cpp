@@ -19,7 +19,16 @@
 using namespace whisper;
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  // The optional operand is a directory for gnuplot/pandas-friendly plot
+  // data.
+  const cli::Args args = cli::parse_or_exit(
+      "fig1_tet_gadget",
+      {bench::kTraceOutFlag, bench::kMetricsOutFlag,
+       {.name = "DIR", .kind = cli::Kind::String,
+        .help = "write fig1_tote_hist.dat and fig1_argmax.dat here"}},
+      argc, argv);
+  const std::string trace_out = args.str("--trace-out");
+  const std::string metrics_out = args.str("--metrics-out");
   bench::heading(
       "Figure 1 — Gadget of TET and result (Intel Core i7-7700 model)");
 
@@ -44,15 +53,15 @@ int main(int argc, char** argv) {
   // --trace-out: record one *triggered* gadget execution (test_value ==
   // secret) before the sweep — the Fig. 1 event stream the golden-trace
   // test pins down, exported as a Chrome/Perfetto trace.
-  if (!args.trace_out.empty()) {
+  if (!trace_out.empty()) {
     obs::EventLog log;
     regs[static_cast<std::size_t>(isa::Reg::RBX)] = kSecret;
     m.core().set_trace(&log);
     (void)core::run_tote(m, g, regs);
     m.core().set_trace(nullptr);
-    if (obs::write_chrome_trace(log, args.trace_out))
+    if (obs::write_chrome_trace(log, trace_out))
       std::printf("\n(pipeline trace of one triggered probe written to %s)\n",
-                  args.trace_out.c_str());
+                  trace_out.c_str());
   }
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
   for (int batch = 0; batch < kBatches; ++batch) {
@@ -95,21 +104,7 @@ int main(int argc, char** argv) {
                 tv == kSecret ? "   <-- secret" : "");
   }
 
-  // Optional: dump plot data (gnuplot/pandas friendly) to a directory —
-  // the first positional (non --flag) argument.
-  std::string plot_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--jobs" || a == "--json" || a == "--trace-out" ||
-        a == "--metrics-out") {
-      ++i;  // skip the flag's value
-    } else if (a.rfind("--", 0) != 0) {
-      plot_dir = a;
-      break;
-    }
-  }
-  if (!plot_dir.empty()) {
-    const std::string& dir = plot_dir;
+  if (const std::string dir = args.str("DIR"); !dir.empty()) {
     if (FILE* f = std::fopen((dir + "/fig1_tote_hist.dat").c_str(), "w")) {
       std::fprintf(f, "# tote_cycles count_trigger count_other\n");
       for (const auto& [v, c] : other_hist.buckets())
@@ -134,7 +129,7 @@ int main(int argc, char** argv) {
               static_cast<char>(decoded),
               decoded == kSecret ? "matches Fig. 1 ('S')" : "MISMATCH");
 
-  if (!args.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     const uarch::PmuSnapshot delta =
         uarch::pmu_delta(pmu_before, m.core().pmu().snapshot());
     const obs::TopDown td = obs::attribute_cycles(delta);
@@ -150,7 +145,7 @@ int main(int argc, char** argv) {
                   trigger_hist.mean() - other_hist.mean());
     reg.add_histogram("fig1.tote_triggered", trigger_hist);
     reg.add_histogram("fig1.tote_not_triggered", other_hist);
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, metrics_out);
     std::printf("probe sweep top-down: %s\n", td.to_string().c_str());
   }
   return decoded == kSecret ? 0 : 1;

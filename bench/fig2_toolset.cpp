@@ -46,7 +46,8 @@ void run_flow(const std::string& what, os::Machine& m,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("fig2_toolset", {}, argc, argv);
   bench::heading("Figure 2 — Analysis flow using the PMU toolset");
 
   {

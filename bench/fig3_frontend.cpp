@@ -9,7 +9,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("fig3_frontend", {}, argc, argv);
   bench::heading("Figure 3 — Frontend-issued resteer within transient "
                  "execution (i7-7700 model)");
 

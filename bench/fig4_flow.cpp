@@ -34,7 +34,13 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const cli::Args args = cli::parse_or_exit(
+      "fig4_flow",
+      {bench::kJobsFlag, bench::kProgressFlag, bench::kTraceOutFlag,
+       bench::kMetricsOutFlag},
+      argc, argv);
+  const std::string trace_out = args.str("--trace-out");
+  const std::string metrics_out = args.str("--metrics-out");
   bench::heading("Figure 4 — Transient-execution control flow (i7-6700 "
                  "model): UOPS_ISSUED.ANY / INT_MISC.RECOVERY_CYCLES vs "
                  "nop padding");
@@ -42,8 +48,8 @@ int main(int argc, char** argv) {
   const int pads[] = {0, 8, 16, 32, 48, 64, 96, 128, 192};
   const std::size_t n_pads = sizeof(pads) / sizeof(pads[0]);
 
-  runner::Executor ex(args.jobs);
-  runner::Progress meter("fig4_flow", n_pads, args.progress);
+  runner::Executor ex(args.integer("--jobs"));
+  runner::Progress meter("fig4_flow", n_pads, args.has("--progress"));
   runner::WallTimer timer;
   const std::vector<Row> rows = ex.map(
       n_pads,
@@ -86,18 +92,18 @@ int main(int argc, char** argv) {
   // --trace-out: the pipeline lifecycle of one unpadded TRIGGER-path
   // execution — the resteer, the transient window and the terminal machine
   // clear are all visible as spans/markers in the exported trace.
-  if (!args.trace_out.empty()) {
+  if (!trace_out.empty()) {
     os::Machine m({.model = uarch::CpuModel::SkylakeI7_6700});
     obs::EventLog log;
     m.core().set_trace(&log);
     core::scenario_flow(true, 0)(m);
     m.core().set_trace(nullptr);
-    if (obs::write_chrome_trace(log, args.trace_out))
+    if (obs::write_chrome_trace(log, trace_out))
       std::printf("\n(pipeline trace of the trigger path written to %s)\n",
-                  args.trace_out.c_str());
+                  trace_out.c_str());
   }
 
-  if (!args.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     obs::MetricsRegistry reg;
     reg.set_counter("fig4.sign_flip", flip ? 1 : 0);
     for (std::size_t i = 0; i < n_pads; ++i) {
@@ -108,7 +114,7 @@ int main(int argc, char** argv) {
       reg.set_gauge(p + "recovery_not_trigger", rows[i].recov_base);
       reg.set_gauge(p + "recovery_trigger", rows[i].recov_var);
     }
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, metrics_out);
   }
   return flip ? 0 : 1;
 }

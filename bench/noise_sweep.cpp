@@ -13,16 +13,9 @@
 // `--jobs 1`. The --json trajectory deliberately contains no wall-clock
 // fields for the same reason: its bytes are identical whatever --jobs is.
 //
-// Extra flags on top of the shared harness set (see bench_util.h):
-//   --noise-profile P  preset to sweep: quiet | desktop | noisy-server
-//   --attacks LIST     comma-separated registry names (default cc,md,rsb)
-//   --steps N          intensity steps: 0, 1/N, ..., 1 × the preset
-//   --trials N         trials per cell
-//   --bytes N          payload bytes per trial
-//   --budget N         adaptive batch budget (0 = 8× the initial count)
-//   --threshold C      adaptive confidence threshold in [0, 1]
+// The flag table in main() lists what the sweep reads on top of the shared
+// runner flags (bench_util.h).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,48 +28,6 @@
 using namespace whisper;
 
 namespace {
-
-struct SweepArgs {
-  std::string profile = "desktop";
-  std::vector<std::string> attacks = {"cc", "md", "rsb"};
-  int steps = 4;
-  int trials = 3;
-  std::size_t bytes = 16;
-  int budget = 0;
-  double threshold = 0.5;
-};
-
-SweepArgs parse_sweep_args(int argc, char** argv) {
-  SweepArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--noise-profile" && i + 1 < argc) {
-      out.profile = argv[++i];
-    } else if (a == "--attacks" && i + 1 < argc) {
-      out.attacks.clear();
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? list.size()
-                                                           : comma;
-        if (end > pos) out.attacks.push_back(list.substr(pos, end - pos));
-        pos = end + 1;
-      }
-    } else if (a == "--steps" && i + 1 < argc) {
-      out.steps = std::atoi(argv[++i]);
-    } else if (a == "--trials" && i + 1 < argc) {
-      out.trials = std::atoi(argv[++i]);
-    } else if (a == "--bytes" && i + 1 < argc) {
-      out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--budget" && i + 1 < argc) {
-      out.budget = std::atoi(argv[++i]);
-    } else if (a == "--threshold" && i + 1 < argc) {
-      out.threshold = std::atof(argv[++i]);
-    }
-  }
-  return out;
-}
 
 struct Cell {
   std::string attack;
@@ -105,24 +56,37 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
-  const SweepArgs sweep = parse_sweep_args(argc, argv);
-
-  const auto base = noise::NoiseProfile::by_name(sweep.profile);
-  if (!base || !base->enabled()) {
-    std::fprintf(stderr,
-                 "noise_sweep: --noise-profile must be a non-empty preset "
-                 "(quiet|desktop|noisy-server), got '%s'\n",
-                 sweep.profile.c_str());
-    return 2;
-  }
-  for (const std::string& a : sweep.attacks) {
-    if (core::find_attack(a) == nullptr) {
-      std::fprintf(stderr, "noise_sweep: unknown attack '%s' in --attacks\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(
+      "noise_sweep",
+      bench::with_fault_flags({
+          bench::kJobsFlag, bench::kProgressFlag, bench::kJsonFlag,
+          bench::kMetricsOutFlag,
+          {.name = "--noise-profile", .kind = cli::Kind::Choice,
+           .def = "desktop", .help = "preset to sweep",
+           .choices = {"quiet", "desktop", "noisy-server"}},
+          {.name = "--attacks", .kind = cli::Kind::List, .def = "cc,md,rsb",
+           .help = "registry attacks to sweep",
+           .choices = core::attack_names()},
+          {.name = "--steps", .kind = cli::Kind::Int, .def = "4",
+           .help = "intensity steps 0, 1/N, ..., 1 x the preset", .min = 0},
+          {.name = "--trials", .kind = cli::Kind::Int, .def = "3",
+           .help = "trials per cell", .min = 1},
+          {.name = "--bytes", .kind = cli::Kind::Uint, .def = "16",
+           .help = "payload bytes per trial", .min = 1},
+          {.name = "--budget", .kind = cli::Kind::Int, .def = "0",
+           .help = "adaptive batch budget (0 = 8x the initial count)",
+           .min = 0},
+          {.name = "--threshold", .kind = cli::Kind::Double, .def = "0.5",
+           .help = "adaptive confidence threshold", .min = 0, .max = 1},
+      }),
+      argc, argv);
+  const int steps = args.integer("--steps");
+  const int trials = args.integer("--trials");
+  const std::size_t bytes = args.uint("--bytes");
+  const double threshold = args.real("--threshold");
+  const std::string json = args.str("--json");
+  const std::string metrics_out = args.str("--metrics-out");
+  const auto base = noise::NoiseProfile::by_name(args.str("--noise-profile"));
 
   bench::heading("Noise sweep — " + base->name +
                  " profile, fixed vs adaptive decoding");
@@ -131,22 +95,22 @@ int main(int argc, char** argv) {
   // through one run_many so any --jobs fills the pool.
   std::vector<Cell> cells;
   std::vector<runner::RunSpec> specs;
-  for (const std::string& attack : sweep.attacks) {
-    for (int s = 0; s <= sweep.steps; ++s) {
+  for (const std::string& attack : args.list("--attacks")) {
+    for (int s = 0; s <= steps; ++s) {
       const double factor =
-          sweep.steps > 0 ? static_cast<double>(s) / sweep.steps : 1.0;
+          steps > 0 ? static_cast<double>(s) / steps : 1.0;
       for (const bool adaptive : {false, true}) {
         runner::RunSpec spec;
         spec.attack = attack;
-        spec.trials = sweep.trials;
+        spec.trials = trials;
         spec.base_seed = 0x5109eULL;
         spec.noise = base->scaled(factor);
-        spec.payload_bytes = sweep.bytes;
+        spec.payload_bytes = bytes;
         spec.payload_seed = 0xbeefULL;
         spec.rounds = 2;
         spec.adaptive = adaptive;
-        spec.confidence_threshold = sweep.threshold;
-        spec.batch_budget = sweep.budget;
+        spec.confidence_threshold = threshold;
+        spec.batch_budget = args.integer("--budget");
         bench::apply_fault_args(spec, args);
         cells.push_back({attack, factor, adaptive, {}});
         specs.push_back(spec);
@@ -154,9 +118,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  runner::Executor ex(args.jobs);
+  runner::Executor ex(args.integer("--jobs"));
   const std::vector<runner::RunResult> results =
-      runner::run_many(specs, ex, args.progress);
+      runner::run_many(specs, ex, args.has("--progress"));
   for (std::size_t i = 0; i < cells.size(); ++i)
     cells[i].result = results[i];
 
@@ -173,9 +137,9 @@ int main(int argc, char** argv) {
   std::printf("\n(fixed = the attack's default batch count; adaptive "
               "escalates until the vote margin\n clears %.2f or the budget "
               "caps it — gave_up counts bytes flagged unrecoverable)\n",
-              sweep.threshold);
+              threshold);
 
-  if (!args.json.empty()) {
+  if (!json.empty()) {
     // Deterministic trajectory: no wall-clock, no job count — bytes are
     // identical for any --jobs (the tier-2 check depends on this).
     runner::JsonWriter w;
@@ -183,13 +147,13 @@ int main(int argc, char** argv) {
     w.key("profile");
     w.value(base->name);
     w.key("steps");
-    w.value(sweep.steps);
+    w.value(steps);
     w.key("trials");
-    w.value(sweep.trials);
+    w.value(trials);
     w.key("payload_bytes");
-    w.value(static_cast<std::uint64_t>(sweep.bytes));
+    w.value(static_cast<std::uint64_t>(bytes));
     w.key("threshold");
-    w.value(sweep.threshold);
+    w.value(threshold);
     w.key("cells");
     w.begin_array();
     for (const Cell& c : cells) {
@@ -224,21 +188,11 @@ int main(int argc, char** argv) {
     }
     w.end_array();
     w.end_object();
-    std::FILE* f = std::fopen(args.json.c_str(), "w");
-    if (f) {
-      const std::string body = w.str();
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-      std::printf("\n(sweep trajectory written to %s)\n", args.json.c_str());
-    } else {
-      std::fprintf(stderr, "noise_sweep: cannot open %s for writing\n",
-                   args.json.c_str());
+    if (!bench::write_json("noise_sweep", json, w.str(), "sweep trajectory"))
       return 1;
-    }
   }
 
-  if (!args.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     obs::MetricsRegistry reg;
     for (const Cell& c : cells) {
       char prefix[96];
@@ -247,7 +201,7 @@ int main(int argc, char** argv) {
                     c.adaptive ? "adaptive" : "fixed");
       reg.merge(runner::to_metrics(c.result, prefix));
     }
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, metrics_out);
   }
   return 0;
 }

@@ -14,16 +14,8 @@
 // trajectory (BENCH_perf.json under ctest) is the regression record for
 // it. docs/PERFORMANCE.md explains how to read each column.
 //
-// Flags (any other --flag exits 2):
-//   --attacks LIST     comma-separated registry names (default: all)
-//   --trials N         trials per measurement (default 16)
-//   --bytes N          payload bytes per channel trial (default 2)
-//   --batches N        argmax batches per byte (default 1; kaslr: rounds)
-//   --jobs N, --progress, --json PATH, --metrics-out PATH  as in
-//                      bench_util.h
-#include <algorithm>
+// The flag table in main() lists every flag it reads.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,59 +23,10 @@
 #include "core/attacks/registry.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
-#include "stats/json.h"
 
 using namespace whisper;
 
 namespace {
-
-struct PerfArgs {
-  std::vector<std::string> attacks;  // empty = the whole registry
-  int trials = 16;
-  std::size_t bytes = 2;
-  int batches = 1;
-};
-
-/// The first --flag perf_baseline does not read ("" when none). A valued
-/// flag's argument is skipped.
-std::string unknown_flag(int argc, char** argv) {
-  static const std::vector<std::string> kValued = {
-      "--attacks", "--trials", "--bytes", "--batches",
-      "--jobs",    "--json",   "--metrics-out"};
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0 || a == "--progress") continue;
-    if (std::find(kValued.begin(), kValued.end(), a) == kValued.end())
-      return a;
-    ++i;
-  }
-  return "";
-}
-
-PerfArgs parse_perf_args(int argc, char** argv) {
-  PerfArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--attacks" && i + 1 < argc) {
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > pos) out.attacks.push_back(list.substr(pos, end - pos));
-        pos = end + 1;
-      }
-    } else if (a == "--trials" && i + 1 < argc) {
-      out.trials = std::atoi(argv[++i]);
-    } else if (a == "--bytes" && i + 1 < argc) {
-      out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--batches" && i + 1 < argc) {
-      out.batches = std::atoi(argv[++i]);
-    }
-  }
-  return out;
-}
 
 /// One timed fan-out, reduced to rates. Wall time comes from the
 /// RunResult's own fan-out clock, so the numbers cover exactly the trial
@@ -137,23 +80,29 @@ void json_measurement(runner::JsonWriter& w, const Measurement& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const std::string bad = unknown_flag(argc, argv); !bad.empty()) {
-    std::fprintf(stderr, "perf_baseline: unknown flag '%s'\n", bad.c_str());
-    return 2;
-  }
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
-  const PerfArgs perf = parse_perf_args(argc, argv);
-
-  std::vector<std::string> attacks = perf.attacks;
+  const cli::Args args = cli::parse_or_exit(
+      "perf_baseline",
+      {bench::kJobsFlag, bench::kProgressFlag, bench::kJsonFlag,
+       bench::kMetricsOutFlag,
+       {.name = "--attacks", .kind = cli::Kind::List,
+        .help = "registry attacks to time (default: all)",
+        .choices = core::attack_names()},
+       {.name = "--trials", .kind = cli::Kind::Int, .def = "16",
+        .help = "trials per measurement", .min = 1},
+       {.name = "--bytes", .kind = cli::Kind::Uint, .def = "2",
+        .help = "payload bytes per channel trial", .min = 1},
+       {.name = "--batches", .kind = cli::Kind::Int, .def = "1",
+        .help = "argmax batches per byte (kaslr: rounds)", .min = 1}},
+      argc, argv);
+  const int trials = args.integer("--trials");
+  const std::size_t bytes = args.uint("--bytes");
+  const int batches = args.integer("--batches");
+  const std::string json = args.str("--json");
+  const std::string metrics_out = args.str("--metrics-out");
+  const bool progress = args.has("--progress");
+  std::vector<std::string> attacks = args.list("--attacks");
   if (attacks.empty()) attacks = core::attack_names();
-  for (const std::string& a : attacks) {
-    if (core::find_attack(a) == nullptr) {
-      std::fprintf(stderr, "perf_baseline: unknown attack '%s' in --attacks\n",
-                   a.c_str());
-      return 2;
-    }
-  }
-  const int jobs_n = runner::resolve_jobs(args.jobs);
+  const int jobs_n = runner::resolve_jobs(args.integer("--jobs"));
 
   bench::heading("Perf baseline — machine reset fast path vs fresh "
                  "construction");
@@ -162,19 +111,19 @@ int main(int argc, char** argv) {
   for (const std::string& attack : attacks) {
     runner::RunSpec spec;
     spec.attack = attack;
-    spec.trials = perf.trials;
+    spec.trials = trials;
     spec.base_seed = 0xbe9cULL;
-    spec.payload_bytes = perf.bytes;
-    spec.batches = perf.batches;
-    spec.rounds = perf.batches;
+    spec.payload_bytes = bytes;
+    spec.batches = batches;
+    spec.rounds = batches;
 
     Row row;
     row.attack = attack;
-    row.fresh1 = measure(spec, /*reuse=*/false, /*jobs=*/1, args.progress);
-    row.reset1 = measure(spec, /*reuse=*/true, /*jobs=*/1, args.progress);
+    row.fresh1 = measure(spec, /*reuse=*/false, /*jobs=*/1, progress);
+    row.reset1 = measure(spec, /*reuse=*/true, /*jobs=*/1, progress);
     row.reset_n = jobs_n == 1
                       ? row.reset1
-                      : measure(spec, /*reuse=*/true, jobs_n, args.progress);
+                      : measure(spec, /*reuse=*/true, jobs_n, progress);
     rows.push_back(row);
   }
 
@@ -191,17 +140,17 @@ int main(int argc, char** argv) {
   std::printf("\n(%d trials per cell, %zu payload bytes, %d batches; every "
               "cell produces bit-identical\n results — the deltas are machine "
               "construction vs snapshot reset)\n",
-              perf.trials, perf.bytes, perf.batches);
+              trials, bytes, batches);
 
-  if (!args.json.empty()) {
+  if (!json.empty()) {
     runner::JsonWriter w;
     w.begin_object();
     w.key("trials");
-    w.value(perf.trials);
+    w.value(trials);
     w.key("payload_bytes");
-    w.value(static_cast<std::uint64_t>(perf.bytes));
+    w.value(static_cast<std::uint64_t>(bytes));
     w.key("batches");
-    w.value(perf.batches);
+    w.value(batches);
     w.key("jobs");
     w.value(jobs_n);
     w.key("attacks");
@@ -222,25 +171,11 @@ int main(int argc, char** argv) {
     }
     w.end_array();
     w.end_object();
-
-    const std::string body = w.str();
-    if (!stats::json_is_valid(body)) {
-      std::fprintf(stderr, "perf_baseline: generated JSON is invalid\n");
+    if (!bench::write_json("perf_baseline", json, w.str(), "perf trajectory"))
       return 1;
-    }
-    std::FILE* f = std::fopen(args.json.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "perf_baseline: cannot open %s for writing\n",
-                   args.json.c_str());
-      return 1;
-    }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\n(perf trajectory written to %s)\n", args.json.c_str());
   }
 
-  if (!args.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     obs::MetricsRegistry reg;
     for (const Row& r : rows) {
       reg.set_gauge(r.attack + ".fresh_jobs1.trials_per_sec",
@@ -251,7 +186,7 @@ int main(int argc, char** argv) {
                     r.reset_n.trials_per_sec);
       reg.set_gauge(r.attack + ".speedup", r.speedup());
     }
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, metrics_out);
   }
   return 0;
 }

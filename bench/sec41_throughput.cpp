@@ -26,7 +26,15 @@
 using namespace whisper;
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const cli::Args args = cli::parse_or_exit(
+      "sec41_throughput",
+      bench::with_fault_flags({bench::kJobsFlag, bench::kProgressFlag,
+                               bench::kJsonFlag, bench::kTraceOutFlag,
+                               bench::kMetricsOutFlag}),
+      argc, argv);
+  const std::string json = args.str("--json");
+  const std::string trace_out = args.str("--trace-out");
+  const std::string metrics_out = args.str("--metrics-out");
   bench::heading("Section 4.1 — Experiment setup and result");
 
   runner::RunSpec cc;
@@ -61,9 +69,9 @@ int main(int argc, char** argv) {
   for (runner::RunSpec* spec : {&cc, &md, &rsb, &kaslr})
     bench::apply_fault_args(*spec, args);
 
-  runner::Executor ex(args.jobs);
+  runner::Executor ex(args.integer("--jobs"));
   const auto results = runner::run_many({cc, md, rsb, kaslr}, ex,
-                                        args.progress);
+                                        args.has("--progress"));
 
   const auto channel_line = [](const runner::RunResult& r) {
     const double rate =
@@ -100,24 +108,24 @@ int main(int argc, char** argv) {
               "(no fault vs TSX abort vs signal per probe),\nTET-KASLR "
               "sub-second over 512 slots — same ordering as the paper.\n");
 
-  if (!args.json.empty()) {
+  if (!json.empty()) {
     // Persist the heaviest trajectory (the TET-CC 1k-byte run).
-    runner::write_json_file(results[0], args.json);
+    runner::write_json_file(results[0], json);
   }
 
-  if (!args.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     // One registry over all four experiments, attack-prefixed so nothing
     // collides: cc.pmu.*, md.topdown.*, kaslr.run.successes, ...
     obs::MetricsRegistry reg = runner::to_metrics(results[0], "cc.");
     reg.merge(runner::to_metrics(results[1], "md."));
     reg.merge(runner::to_metrics(results[2], "rsb."));
     reg.merge(runner::to_metrics(results[3], "kaslr."));
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, metrics_out);
     std::printf("TET-CC top-down: %s\n",
                 results[0].topdown.to_string().c_str());
   }
 
-  if (!args.trace_out.empty()) {
+  if (!trace_out.empty()) {
     // Full event capture of the 1k-byte runs above would be GBs of JSON, so
     // trace a representative single-byte TET-MD trial instead: one
     // signal-suppressed leak, windows and machine clears included.
@@ -128,10 +136,10 @@ int main(int argc, char** argv) {
     probe.collect_trace = true;
     const runner::TrialResult t =
         runner::run_trial(probe, runner::trial_seed(probe.base_seed, 0));
-    if (obs::write_chrome_trace(t.events, args.trace_out))
+    if (obs::write_chrome_trace(t.events, trace_out))
       std::printf("\n(pipeline trace of a 1-byte TET-MD trial written to "
                   "%s: %zu events)\n",
-                  args.trace_out.c_str(), t.events.size());
+                  trace_out.c_str(), t.events.size());
   }
   return 0;
 }

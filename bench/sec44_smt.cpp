@@ -15,7 +15,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("sec44_smt", {}, argc, argv);
   bench::heading("Section 4.4 — Covert channel for SMT (i7-7700 model)");
 
   // Bit-separation calibration plot.

@@ -30,7 +30,8 @@ struct Scenario {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const cli::Args args = cli::parse_or_exit(
+      "sec45_kaslr", {bench::kJobsFlag, bench::kProgressFlag}, argc, argv);
   bench::heading("Section 4.5 — TET-KASLR attack: breaking KASLR");
 
   const uarch::CpuModel cml = uarch::CpuModel::CometLakeI9_10980XE;
@@ -56,8 +57,9 @@ int main(int argc, char** argv) {
 
   // Cell k: scenario k/2, TET-KASLR when k is even, prefetch baseline when
   // odd. Each worker builds its own Machine — nothing is shared.
-  runner::Executor ex(args.jobs);
-  runner::Progress meter("sec45_kaslr", scenarios.size() * 2, args.progress);
+  runner::Executor ex(args.integer("--jobs"));
+  runner::Progress meter("sec45_kaslr", scenarios.size() * 2,
+                         args.has("--progress"));
   runner::WallTimer timer;
   const std::vector<std::string> cells = ex.map(
       scenarios.size() * 2,

@@ -29,14 +29,13 @@
 // Results (wall time, throughput, retry counts, pool/queue accounting,
 // per-client p50/p99 request latency measured send → terminal response,
 // the identity verdict) are written to --json as BENCH_serve.json, which
-// is validated with stats::json_is_valid before writing. Exit status is
+// is re-parsed by stats::json_parse before writing. Exit status is
 // non-zero on any violated invariant, so this doubles as the tier-2
 // `whisper_serve_soak` ctest entry.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport_loopback.h"
 #include "stats/json.h"
@@ -54,33 +52,30 @@ using namespace whisper;
 
 namespace {
 
+/// The soak's shape; the defaults live in parse_args()'s flag table.
 struct SoakArgs {
-  std::uint64_t requests = 2000;
-  std::uint64_t clients = 4;
-  int jobs = 4;
-  std::size_t pool = 4;
+  std::uint64_t requests;
+  std::uint64_t clients;
+  int jobs;
+  std::size_t pool;
   std::string json;
 };
 
 SoakArgs parse_args(int argc, char** argv) {
-  SoakArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--requests" && i + 1 < argc)
-      out.requests = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--clients" && i + 1 < argc)
-      out.clients = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--jobs" && i + 1 < argc)
-      out.jobs = std::atoi(argv[++i]);
-    else if (a == "--pool" && i + 1 < argc)
-      out.pool = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--json" && i + 1 < argc)
-      out.json = argv[++i];
-  }
-  if (out.requests < 1) out.requests = 1;
-  if (out.clients < 1) out.clients = 1;
-  if (out.jobs < 1) out.jobs = 1;
-  return out;
+  const cli::Args a = cli::parse_or_exit(
+      "serve_soak",
+      {{.name = "--requests", .kind = cli::Kind::Uint, .def = "2000",
+        .help = "run requests in the batch", .min = 1},
+       {.name = "--clients", .kind = cli::Kind::Uint, .def = "4",
+        .help = "concurrent loopback client connections", .min = 1},
+       {.name = "--jobs", .kind = cli::Kind::Int, .def = "4",
+        .help = "daemon workers in phase A (phase B uses 1)", .min = 1},
+       {.name = "--pool", .kind = cli::Kind::Uint, .def = "4",
+        .help = "shared machine pool capacity", .min = 1},
+       bench::kJsonFlag},
+      argc, argv);
+  return {a.uint("--requests"), a.uint("--clients"), a.integer("--jobs"),
+          a.uint("--pool"), a.str("--json")};
 }
 
 /// The deterministic request mix. Request r (0-based) gets id r+1, a cheap
@@ -172,7 +167,7 @@ PhaseResult run_phase(const SoakArgs& args, int jobs) {
       client->close_send();
       std::string line;
       while (client->recv(line)) {
-        const serve::JsonValue doc = serve::json_parse(line);
+        const stats::JsonValue doc = stats::json_parse(line);
         const std::uint64_t id =
             static_cast<std::uint64_t>(doc.get("id")->number);
         collected[c][id].push_back(line);
@@ -219,7 +214,7 @@ PhaseResult run_phase(const SoakArgs& args, int jobs) {
     else if (lines.size() > want)
       out.duplicated += lines.size() - want;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-      const serve::JsonValue doc = serve::json_parse(lines[i]);
+      const stats::JsonValue doc = stats::json_parse(lines[i]);
       const std::string type = doc.get("type")->string;
       if (type == "error") {
         ++out.errors;
@@ -382,19 +377,8 @@ int main(int argc, char** argv) {
     w.key("mismatched_requests");
     w.value(mismatched);
     w.end_object();
-    if (!stats::json_is_valid(w.str())) {
-      std::fprintf(stderr, "serve_soak: generated invalid JSON (bug)\n");
+    if (!bench::write_json("serve_soak", args.json, w.str(), "trajectory"))
       return 1;
-    }
-    std::FILE* f = std::fopen(args.json.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "serve_soak: cannot open %s\n", args.json.c_str());
-      return 1;
-    }
-    std::fwrite(w.str().data(), 1, w.str().size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\n(trajectory written to %s)\n", args.json.c_str());
   }
 
   return (lossless && faults_fired && identical) ? 0 : 1;

@@ -35,7 +35,8 @@ int hot_probe_lines(os::Machine& m) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("table1_taxonomy", {}, argc, argv);
   bench::heading("Table 1 — Comparison of side-channel attacks "
                  "(stateful vs stateless, measured)");
 

@@ -68,7 +68,8 @@ runner::RunSpec cell_spec(uarch::CpuModel model, const std::string& attack) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const cli::Args args = cli::parse_or_exit(
+      "table2_matrix", {bench::kJobsFlag, bench::kProgressFlag}, argc, argv);
   bench::heading("Table 2 — Environment and experiments");
   std::printf("cell format: model-result (paper-result)\n\n");
   std::printf("%-24s %-12s %-10s %-12s %-12s %-12s %-12s %-12s\n", "CPU",
@@ -82,8 +83,8 @@ int main(int argc, char** argv) {
   for (const PaperRow& row : kPaper)
     for (const char* a : kColumns) specs.push_back(cell_spec(row.model, a));
 
-  runner::Executor ex(args.jobs);
-  const auto results = runner::run_many(specs, ex, args.progress);
+  runner::Executor ex(args.integer("--jobs"));
+  const auto results = runner::run_many(specs, ex, args.has("--progress"));
 
   bool all_match = true;
   std::size_t cell = 0;

@@ -50,7 +50,8 @@ void run_scene(const std::string& title, os::Machine& m,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("table3_pmu", {}, argc, argv);
   bench::heading("Table 3 — Key performance monitor counter values");
   std::printf("model counts | paper counts; 'matches' = same delta sign\n");
 

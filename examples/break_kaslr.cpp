@@ -3,6 +3,7 @@
 // the disclosure is worth (ROP target addresses) and the FGKASLR caveat.
 #include <cstdio>
 
+#include "cli/flags.h"
 #include "baseline/prefetch_kaslr.h"
 #include "core/attacks/kaslr.h"
 #include "os/machine.h"
@@ -32,7 +33,8 @@ void attack(const char* label, const os::MachineOptions& opts) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("break_kaslr", {}, argc, argv);
   const uarch::CpuModel cpu = uarch::CpuModel::CometLakeI9_10980XE;
   std::printf("target: %s — kernel image somewhere in the 512-slot window "
               "%#llx..%#llx\n\n",

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cli/flags.h"
 #include "baseline/flush_reload.h"
 #include "core/attacks/smt_channel.h"
 #include "core/covert_channel.h"
@@ -11,7 +12,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("covert_channel", {}, argc, argv);
   const std::string msg_str =
       "whisper: timing the transient execution (DAC'24)";
   const std::vector<std::uint8_t> msg(msg_str.begin(), msg_str.end());

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cli/flags.h"
 #include "baseline/flush_reload.h"
 #include "core/attacks/meltdown.h"
 #include "os/machine.h"
@@ -36,7 +37,8 @@ std::string printable(const std::vector<std::uint8_t>& v) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("leak_secret", {}, argc, argv);
   os::Machine machine({.model = uarch::CpuModel::KabyLakeI7_7700});
   const std::string secret_str = "root:$6$WhisperDAC24";
   const std::vector<std::uint8_t> secret(secret_str.begin(),

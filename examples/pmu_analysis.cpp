@@ -5,12 +5,14 @@
 // responsible. The toolset automates the paper's three-stage flow.
 #include <cstdio>
 
+#include "cli/flags.h"
 #include "core/pmu_toolset.h"
 #include "os/machine.h"
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("pmu_analysis", {}, argc, argv);
   os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
   core::PmuToolset toolset(m);
 

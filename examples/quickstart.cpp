@@ -11,6 +11,7 @@
 //   5. peek at the PMU to see *why* the timing moved.
 #include <cstdio>
 
+#include "cli/flags.h"
 #include "core/analyzer.h"
 #include "core/attacks/common.h"
 #include "core/gadgets.h"
@@ -18,7 +19,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_exit("quickstart", {}, argc, argv);
   // 1. A simulated Intel Core i7-7700 running a KASLR'd kernel.
   os::Machine machine({.model = uarch::CpuModel::KabyLakeI7_7700});
   std::printf("machine: %s (%s), %.1f GHz, TSX %s\n",

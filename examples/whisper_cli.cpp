@@ -1,37 +1,19 @@
 // whisper_cli — interactive playground for the library.
 //
-//   whisper_cli tote    [--cpu N] [--trigger|--no-trigger] [--trace]
-//                       [--trace-out PATH] [--metrics-out PATH]
-//   whisper_cli leak    [--cpu N] [--secret STRING] [--attack NAME]
-//                       [--defense SPEC]... [--noise PROFILE] [--adaptive]
-//                       [--confidence C] [--budget B] [--trace-out PATH]
-//                       [--metrics-out PATH]
-//   whisper_cli kaslr   [--cpu N] [--defense SPEC]... [--kpti] [--flare]
-//                       [--fgkaslr] [--seed S]
-//                       [--trials T] [--jobs J] [--json PATH]
-//                       [--noise PROFILE] [--adaptive]
-//                       [--retries R] [--trial-cycle-budget C]
-//                       [--trial-wall-budget SECONDS] [--fault-plan PLAN]
-//                       [--verify-reset]
-//                       [--trace-out PATH] [--metrics-out PATH]
-//   whisper_cli chaos   [--attack NAME] [--defense SPEC]... [--cpu N]
-//                       [--trials T] [--jobs J]
-//                       [--seed S] [--retries R] [--fault-plan PLAN]
-//                       [--trial-cycle-budget C] [--json PATH]
-//   whisper_cli matrix  [--jobs J]
-//   whisper_cli sweep   --endpoints LIST [--attack NAME] [--cpu N]
-//                       [--trials T] [--seed S] [--defense SPEC]...
-//                       [--noise PROFILE] [--chunk C] [--deadline-ms MS]
-//                       [--connect-timeout-ms MS] [--failures F]
-//                       [--flaky-plan PLAN] [--verify] [--json PATH]
-//   whisper_cli attacks                 (also: --list-attacks anywhere)
-//   whisper_cli defenses                (registered defenses + parameters)
-//   whisper_cli models
+//   whisper_cli <models|tote|leak|kaslr|chaos|sweep|attacks|defenses>
+//               [flags]
+//
+// commands() at the bottom of this file declares each subcommand's flags —
+// exactly the ones it reads, with their ranges and defaults — and is the
+// only list of them. A flag the subcommand does not read, a missing value,
+// a malformed or out-of-range number (--cpu is 0..4, the serve wire's
+// range) or an unknown --attack or --noise exits 2 naming the flag and
+// prints the subcommand's flag table, so a typo or a retired flag cannot
+// silently run the defaults.
 //
 // --defense is repeatable and takes a defense::registry() spec,
 // `name[:key=value]...` — e.g. `--defense kpti --defense window:depth=8`.
-// `whisper_cli defenses` lists the registry. The old --kpti / --flare /
-// --fgkaslr flags still work as aliases for the matching specs.
+// `whisper_cli defenses` lists the registry.
 //
 // `chaos` is the fault-tolerance self-test: it runs the same spec twice —
 // once clean, once under a seeded --fault-plan (see src/fault/fault.h for
@@ -59,26 +41,23 @@
 // (off|quiet|desktop|noisy-server); --adaptive escalates batch counts until
 // the decode confidence clears --confidence or --budget caps it.
 //
-// `kaslr --trials T --jobs J` and `matrix --jobs J` go through
-// whisper::runner: independent simulated machines fan out across J worker
-// threads with results bit-identical to --jobs 1 (docs/REPRODUCING.md).
+// `kaslr --trials T --jobs J` goes through whisper::runner: independent
+// simulated machines fan out across J worker threads with results
+// bit-identical to --jobs 1 (docs/REPRODUCING.md). The Table 2 matrix is
+// bench/table2_matrix.
 //
 // --trace-out writes a Chrome trace-event JSON of the command's pipeline
 // activity (open it in chrome://tracing or ui.perfetto.dev); --metrics-out
 // writes every counter the run touched as an obs::MetricsRegistry export
 // (JSON, or CSV when the path ends in .csv). docs/REPRODUCING.md
 // ("Inspecting a run") walks through both.
-//
-// Every command refuses a --flag it does not read (exit 2, naming the
-// flag), so a typo or a retired flag cannot silently run the defaults.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "client/endpoint.h"
 #include "client/sweep_client.h"
 #include "client/wire.h"
@@ -100,62 +79,49 @@ using namespace whisper;
 
 namespace {
 
-struct Args {
-  std::vector<std::string> positional;
-  bool has(const std::string& flag) const {
-    for (const auto& a : positional)
-      if (a == flag) return true;
-    return false;
-  }
-  std::string value(const std::string& flag, const std::string& dflt) const {
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) return positional[i + 1];
-    return dflt;
-  }
-  /// Every value of a repeatable flag (--defense can appear many times).
-  std::vector<std::string> values(const std::string& flag) const {
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) out.push_back(positional[i + 1]);
-    return out;
-  }
-};
+// Flags several commands share.
+const cli::Flag kCpu{
+    .name = "--cpu", .kind = cli::Kind::Int, .def = "1",
+    .help = "CPU preset index in Table 2 order, see models", .min = 0,
+    .max = static_cast<double>(uarch::all_models().size() - 1)};
+const cli::Flag kDefense{.name = "--defense", .kind = cli::Kind::String,
+                         .help = "defense spec name[:key=value]",
+                         .repeat = true};
+const cli::Flag kNoise{.name = "--noise", .kind = cli::Kind::Choice,
+                       .def = "off", .help = "interference preset",
+                       .choices = noise::NoiseProfile::preset_names()};
+const cli::Flag kAdaptive{
+    .name = "--adaptive",
+    .help = "escalate batches until the decode is confident"};
+const cli::Flag kSeed{.name = "--seed", .kind = cli::Kind::Uint,
+                      .help = "base seed"};
 
-uarch::CpuModel cpu_from(const Args& args) {
-  const int n = std::stoi(args.value("--cpu", "1"));
-  const auto models = uarch::all_models();
-  return models[static_cast<std::size_t>(n) % models.size()];
+cli::Flag attack_flag(std::string def) {
+  return {.name = "--attack", .kind = cli::Kind::Choice,
+          .def = std::move(def), .help = "registry attack, see attacks",
+          .choices = core::attack_names()};
 }
 
-/// The repeatable --defense flag plus the legacy --kpti/--flare/--fgkaslr
-/// aliases, as one DefenseSpec stack. Shared by every command that builds a
-/// machine or a RunSpec.
-std::vector<defense::DefenseSpec> defenses_from(const Args& args) {
+cli::Flag trials_flag(std::string def) {
+  return {.name = "--trials", .kind = cli::Kind::Int, .def = std::move(def),
+          .help = "trials", .min = 1};
+}
+
+uarch::CpuModel cpu_from(const cli::Args& args) {
+  return uarch::all_models()[static_cast<std::size_t>(args.integer("--cpu"))];
+}
+
+/// The repeatable --defense flag as one DefenseSpec stack. Shared by every
+/// command that builds a machine or a RunSpec.
+std::vector<defense::DefenseSpec> defenses_from(const cli::Args& args) {
   std::vector<defense::DefenseSpec> out;
-  if (args.has("--kpti")) out.push_back(defense::parse("kpti"));
-  if (args.has("--flare")) out.push_back(defense::parse("flare"));
-  if (args.has("--fgkaslr")) out.push_back(defense::parse("fgkaslr"));
-  for (const std::string& text : args.values("--defense"))
+  for (const std::string& text : args.list("--defense"))
     out.push_back(defense::parse(text));
   return out;
 }
 
-/// Fault-tolerance knobs shared by every runner-backed command.
-void apply_fault_flags(runner::RunSpec& spec, const Args& args) {
-  spec.retries = std::stoi(args.value("--retries", "0"));
-  spec.trial_cycle_budget =
-      std::stoull(args.value("--trial-cycle-budget", "0"));
-  spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
-  spec.fault_plan = args.value("--fault-plan", "");
-  spec.verify_reset = args.has("--verify-reset");
-}
-
-bool write_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  const bool ok = csv ? reg.write_csv_file(path) : reg.write_json_file(path);
-  if (ok) std::printf("metrics written to %s\n", path.c_str());
-  return ok;
+noise::NoiseProfile noise_from(const cli::Args& args) {
+  return *noise::NoiseProfile::by_name(args.str("--noise"));
 }
 
 /// PMU delta + top-down attribution over [before, now) as a registry.
@@ -175,7 +141,7 @@ obs::MetricsRegistry machine_metrics(os::Machine& m,
   return reg;
 }
 
-int cmd_models() {
+int cmd_models(const cli::Args&) {
   std::printf("%-4s %-24s %-12s %-6s %-28s\n", "idx", "name", "uarch", "TSX",
               "vulnerabilities");
   int i = 0;
@@ -191,7 +157,7 @@ int cmd_models() {
   return 0;
 }
 
-int cmd_tote(const Args& args) {
+int cmd_tote(const cli::Args& args) {
   os::Machine m({.model = cpu_from(args)});
   m.poke8(os::Machine::kSharedBase, 'S');
   const auto g = core::make_tet_gadget(
@@ -203,8 +169,8 @@ int cmd_tote(const Args& args) {
   const bool trigger = !args.has("--no-trigger");
   regs[static_cast<std::size_t>(isa::Reg::RBX)] = trigger ? 'S' : 'T';
 
-  const std::string trace_out = args.value("--trace-out", "");
-  const std::string metrics_out = args.value("--metrics-out", "");
+  const std::string trace_out = args.str("--trace-out");
+  const std::string metrics_out = args.str("--metrics-out");
   uarch::PipelineTrace trace;   // bounded ring for the textual dump
   obs::EventLog log;            // full capture for the Chrome export
   if (args.has("--trace")) m.core().set_trace(&trace);
@@ -224,11 +190,11 @@ int cmd_tote(const Args& args) {
                 "(%zu events)\n",
                 trace_out.c_str(), log.size());
   if (!metrics_out.empty())
-    write_metrics(machine_metrics(m, pmu_before), metrics_out);
+    bench::write_metrics(machine_metrics(m, pmu_before), metrics_out);
   return 0;
 }
 
-int cmd_attacks() {
+int cmd_attacks(const cli::Args&) {
   std::printf("%-8s %-8s %s\n", "name", "kind", "description");
   for (const core::AttackInfo& info : core::attack_registry())
     std::printf("%-8s %-8s %s\n", info.name.c_str(),
@@ -236,7 +202,7 @@ int cmd_attacks() {
   return 0;
 }
 
-int cmd_defenses() {
+int cmd_defenses(const cli::Args&) {
   std::printf("%-12s %-20s %s\n", "name", "params", "description");
   for (const defense::DefenseInfo& d : defense::registry()) {
     std::string params;
@@ -252,44 +218,30 @@ int cmd_defenses() {
   return 0;
 }
 
-int cmd_leak(const Args& args) {
-  const std::string what = args.value("--attack", "md");
+int cmd_leak(const cli::Args& args) {
+  const std::string what = args.str("--attack");
   const core::AttackInfo* info = core::find_attack(what);
-  if (info == nullptr) {
-    std::fprintf(stderr, "unknown --attack '%s'; registered attacks:\n",
-                 what.c_str());
-    for (const std::string& n : core::attack_names())
-      std::fprintf(stderr, "  %s\n", n.c_str());
-    return 2;
-  }
 
   os::MachineOptions mo;
   mo.model = cpu_from(args);
-  const std::string noise_name = args.value("--noise", "off");
-  const auto profile = noise::NoiseProfile::by_name(noise_name);
-  if (!profile) {
-    std::fprintf(stderr, "unknown --noise '%s' (off|quiet|desktop|"
-                 "noisy-server)\n", noise_name.c_str());
-    return 2;
-  }
-  mo.noise = *profile;
+  mo.noise = noise_from(args);
   defense::apply(defenses_from(args), mo);
   os::Machine m(mo);
 
-  const std::string secret_str = args.value("--secret", "hunter2");
+  const std::string secret_str = args.str("--secret");
   const std::vector<std::uint8_t> secret(secret_str.begin(),
                                          secret_str.end());
 
-  const std::string trace_out = args.value("--trace-out", "");
-  const std::string metrics_out = args.value("--metrics-out", "");
+  const std::string trace_out = args.str("--trace-out");
+  const std::string metrics_out = args.str("--metrics-out");
   obs::EventLog log;
   if (!trace_out.empty()) m.core().set_trace(&log);
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
 
   core::AttackOptions opt;
   opt.adaptive = args.has("--adaptive");
-  opt.confidence_threshold = std::stod(args.value("--confidence", "0.5"));
-  opt.batch_budget = std::stoi(args.value("--budget", "0"));
+  opt.confidence_threshold = args.real("--confidence");
+  opt.batch_budget = args.integer("--budget");
   const auto atk = info->make(m, opt);
   const core::AttackResult r =
       atk->run(info->channel ? std::span<const std::uint8_t>(secret)
@@ -316,22 +268,20 @@ int cmd_leak(const Args& args) {
     std::printf("pipeline trace of the leak written to %s (%zu events)\n",
                 trace_out.c_str(), log.size());
   if (!metrics_out.empty())
-    write_metrics(machine_metrics(m, pmu_before), metrics_out);
+    bench::write_metrics(machine_metrics(m, pmu_before), metrics_out);
   return r.success ? 0 : 1;
 }
 
-int cmd_kaslr(const Args& args) {
-  const int trials = std::stoi(args.value("--trials", "1"));
-  const std::string trace_out = args.value("--trace-out", "");
-  const std::string metrics_out = args.value("--metrics-out", "");
-  if (trials <= 1) {
+int cmd_kaslr(const cli::Args& args) {
+  const int trials = args.integer("--trials");
+  const std::string trace_out = args.str("--trace-out");
+  const std::string metrics_out = args.str("--metrics-out");
+  if (trials == 1) {
     // Single shot: the interactive view, with found vs true base.
     os::MachineOptions opts;
     opts.model = cpu_from(args);
-    opts.seed = std::stoull(args.value("--seed", "0"));
-    if (const auto p = noise::NoiseProfile::by_name(
-            args.value("--noise", "off")))
-      opts.noise = *p;
+    opts.seed = args.uint("--seed");
+    opts.noise = noise_from(args);
     const std::vector<defense::DefenseSpec> stack = defenses_from(args);
     defense::apply(stack, opts);
     os::Machine m(opts);
@@ -357,7 +307,7 @@ int cmd_kaslr(const Args& args) {
                   "(%zu events)\n",
                   trace_out.c_str(), log.size());
     if (!metrics_out.empty())
-      write_metrics(machine_metrics(m, pmu_before), metrics_out);
+      bench::write_metrics(machine_metrics(m, pmu_before), metrics_out);
     return r.success ? 0 : 1;
   }
 
@@ -368,15 +318,12 @@ int cmd_kaslr(const Args& args) {
   spec.attack = "kaslr";
   spec.trials = trials;
   spec.defenses = defenses_from(args);
-  spec.base_seed = std::stoull(args.value("--seed", "1"));
-  if (const auto p = noise::NoiseProfile::by_name(
-          args.value("--noise", "off")))
-    spec.noise = *p;
+  spec.base_seed = args.has("--seed") ? args.uint("--seed") : 1;
+  spec.noise = noise_from(args);
   spec.adaptive = args.has("--adaptive");
   spec.collect_trace = !trace_out.empty();
-  apply_fault_flags(spec, args);
-  const int jobs = std::stoi(args.value("--jobs", "1"));
-  const auto r = runner::run(spec, jobs, /*progress=*/true);
+  bench::apply_fault_args(spec, args);
+  const auto r = runner::run(spec, args.integer("--jobs"), /*progress=*/true);
   std::printf("TET-KASLR sweep: %s\n", spec.label().c_str());
   std::printf("  broke KASLR in %zu/%zu trials; sim time %.4f s mean "
               "(sd %.4f, min %.4f, max %.4f)\n",
@@ -388,7 +335,7 @@ int cmd_kaslr(const Args& args) {
     std::printf("  fault layer: %zu/%zu completed, %zu retried, "
                 "%zu quarantined, %zu degraded\n",
                 r.completed, r.attempted, r.retried, r.quarantined, r.failed);
-  const std::string json = args.value("--json", "");
+  const std::string json = args.str("--json");
   if (!json.empty() && runner::write_json_file(r, json))
     std::printf("  trajectory written to %s\n", json.c_str());
   if (!trace_out.empty() && obs::write_chrome_trace(r.events, trace_out))
@@ -397,7 +344,7 @@ int cmd_kaslr(const Args& args) {
                 trace_out.c_str(), r.events.size());
   if (!metrics_out.empty()) {
     std::printf("  top-down: %s\n", r.topdown.to_string().c_str());
-    write_metrics(runner::to_metrics(r), metrics_out);
+    bench::write_metrics(runner::to_metrics(r), metrics_out);
   }
   return r.all_succeeded() ? 0 : 1;
 }
@@ -414,23 +361,21 @@ bool trial_identical(const runner::TrialResult& a,
          a.pmu == b.pmu;
 }
 
-int cmd_chaos(const Args& args) {
+int cmd_chaos(const cli::Args& args) {
   runner::RunSpec spec;
   spec.model = cpu_from(args);
-  spec.attack = args.value("--attack", "cc");
+  spec.attack = args.str("--attack");
   spec.defenses = defenses_from(args);
-  spec.trials = std::stoi(args.value("--trials", "12"));
-  spec.base_seed = std::stoull(args.value("--seed", "12648430"));
+  spec.trials = args.integer("--trials");
+  spec.base_seed = args.uint("--seed");
   spec.payload_bytes = 4;
   spec.batches = 2;
   spec.rounds = 2;
-  spec.retries = std::stoi(args.value("--retries", "2"));
-  spec.trial_cycle_budget =
-      std::stoull(args.value("--trial-cycle-budget", "1000000000"));
-  spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
-  spec.fault_plan =
-      args.value("--fault-plan", "throw@2;corrupt@5;stall@8");
-  const int jobs = std::stoi(args.value("--jobs", "4"));
+  spec.retries = args.integer("--retries");
+  spec.trial_cycle_budget = args.uint("--trial-cycle-budget");
+  spec.trial_wall_budget = args.real("--trial-wall-budget");
+  spec.fault_plan = args.str("--fault-plan");
+  const int jobs = args.integer("--jobs");
 
   runner::RunSpec clean = spec;
   clean.fault_plan.clear();
@@ -477,55 +422,17 @@ int cmd_chaos(const Args& args) {
                 "clean run\n",
                 faulted.completed, faulted.attempted);
 
-  const std::string json = args.value("--json", "");
+  const std::string json = args.str("--json");
   if (!json.empty() && runner::write_json_file(faulted, json))
     std::printf("  faulted-run trajectory written to %s\n", json.c_str());
   return ok ? 0 : 1;
 }
 
-int cmd_matrix(const Args& args) {
-  // The Table 2 matrix (5 CPUs × 5 attacks) through the parallel runner;
-  // bench/table2_matrix prints the full paper comparison.
-  const int jobs = std::stoi(args.value("--jobs", "1"));
-  const std::vector<std::string> attacks = core::attack_names();
-
-  std::vector<runner::RunSpec> specs;
-  for (const uarch::CpuModel model : uarch::all_models())
-    for (const std::string& a : attacks) {
-      runner::RunSpec spec;
-      spec.model = model;
-      spec.attack = a;
-      spec.base_seed = 0x7ab1e2;
-      spec.payload_bytes = 4;
-      spec.batches = 4;
-      spec.rounds = 2;
-      specs.push_back(spec);
-    }
-
-  runner::Executor ex(jobs);
-  const auto results = runner::run_many(specs, ex, /*progress=*/true);
-
-  std::printf("%-24s", "CPU");
-  for (const std::string& a : attacks) std::printf(" %-8s", a.c_str());
-  std::printf("\n");
-  std::size_t cell = 0;
-  for (const uarch::CpuModel model : uarch::all_models()) {
-    const auto cfg = uarch::make_config(model);
-    std::printf("%-24s", cfg.name.c_str());
-    for (std::size_t c = 0; c < attacks.size(); ++c)
-      std::printf(" %-9s", results[cell++].all_succeeded() ? "✓" : "✗");
-    std::printf("\n");
-  }
-  std::printf("\n(run bench/table2_matrix for the paper-cell comparison; "
-              "--jobs N parallelises either)\n");
-  return 0;
-}
-
 /// Distributed sweep: shard --trials across --endpoints and merge by
 /// index. Exit 0 only on a complete (and, with --verify, byte-identical)
 /// merge; endpoint failures along the way are counters, not errors.
-int cmd_sweep(const Args& args) {
-  const std::string endpoints_csv = args.value("--endpoints", "");
+int cmd_sweep(const cli::Args& args) {
+  const std::string endpoints_csv = args.str("--endpoints");
   if (endpoints_csv.empty()) {
     std::fprintf(stderr,
                  "whisper_cli sweep: --endpoints is required "
@@ -535,27 +442,24 @@ int cmd_sweep(const Args& args) {
 
   runner::RunSpec spec;
   spec.model = cpu_from(args);
-  spec.attack = args.value("--attack", "kaslr");
-  spec.trials = std::stoi(args.value("--trials", "8"));
+  spec.attack = args.str("--attack");
+  spec.trials = args.integer("--trials");
   spec.defenses = defenses_from(args);
-  spec.base_seed = std::stoull(args.value("--seed", "1"));
-  if (const auto p = noise::NoiseProfile::by_name(
-          args.value("--noise", "off")))
-    spec.noise = *p;
+  spec.base_seed = args.uint("--seed");
+  spec.noise = noise_from(args);
   spec.adaptive = args.has("--adaptive");
-  apply_fault_flags(spec, args);
+  bench::apply_fault_args(spec, args);
 
   std::vector<std::shared_ptr<client::Endpoint>> pool;
   for (const auto& ep : client::parse_endpoint_list(endpoints_csv))
     pool.push_back(client::make_endpoint(ep));
 
   client::SweepOptions opts;
-  opts.chunk_trials = std::stoi(args.value("--chunk", "4"));
-  opts.deadline_ms = std::stoi(args.value("--deadline-ms", "60000"));
-  opts.connect_timeout_ms =
-      std::stoi(args.value("--connect-timeout-ms", "2000"));
-  opts.endpoint_failures = std::stoi(args.value("--failures", "3"));
-  opts.flaky_plan = args.value("--flaky-plan", "");
+  opts.chunk_trials = args.integer("--chunk");
+  opts.deadline_ms = args.integer("--deadline-ms");
+  opts.connect_timeout_ms = args.integer("--connect-timeout-ms");
+  opts.endpoint_failures = args.integer("--failures");
+  opts.flaky_plan = args.str("--flaky-plan");
 
   client::SweepClient sweeper(opts);
   const client::SweepResult r = sweeper.sweep(spec, pool);
@@ -583,7 +487,7 @@ int cmd_sweep(const Args& args) {
     return 1;
   }
 
-  const std::string json = args.value("--json", "");
+  const std::string json = args.str("--json");
   if (!json.empty()) {
     std::FILE* f = std::fopen(json.c_str(), "w");
     if (!f) {
@@ -601,7 +505,7 @@ int cmd_sweep(const Args& args) {
   if (args.has("--verify")) {
     // Invariant 13, checked the direct way: rerun the whole spec locally
     // and demand the distributed merge is the same bytes.
-    const auto local = runner::run(spec, std::stoi(args.value("--jobs", "1")));
+    const auto local = runner::run(spec, args.integer("--jobs"));
     const bool same = r.trial_lines == client::canonical_trial_lines(local) &&
                       r.done_line == client::canonical_done_line(local);
     std::printf("  --verify: merged stream %s the local runner::run bytes\n",
@@ -613,101 +517,98 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-/// The flags one command reads: switches stand alone, valued flags take
-/// the next argument.
-struct CommandFlags {
-  std::string command;
-  std::vector<std::string> switches;
-  std::vector<std::string> valued;
+/// One subcommand and the flags it reads.
+struct Command {
+  const char* name;
+  int (*run)(const cli::Args&);
+  cli::Table flags;
 };
 
-const std::vector<CommandFlags>& command_flags() {
-  // defenses_from() reads --defense and the legacy alias switches;
-  // apply_fault_flags() reads the fault-tolerance knobs.
-  static const std::vector<CommandFlags> table = {
-      {"tote", {"--trigger", "--no-trigger", "--trace"},
-       {"--cpu", "--trace-out", "--metrics-out"}},
-      {"leak", {"--adaptive", "--kpti", "--flare", "--fgkaslr"},
-       {"--cpu", "--secret", "--attack", "--defense", "--noise",
-        "--confidence", "--budget", "--trace-out", "--metrics-out"}},
-      {"kaslr", {"--adaptive", "--kpti", "--flare", "--fgkaslr",
-                 "--verify-reset"},
-       {"--cpu", "--defense", "--seed", "--trials", "--jobs", "--json",
-        "--noise", "--retries", "--trial-cycle-budget",
-        "--trial-wall-budget", "--fault-plan", "--trace-out",
-        "--metrics-out"}},
-      {"chaos", {"--kpti", "--flare", "--fgkaslr"},
-       {"--attack", "--defense", "--cpu", "--trials", "--jobs", "--seed",
-        "--retries", "--fault-plan", "--trial-cycle-budget",
-        "--trial-wall-budget", "--json"}},
-      {"matrix", {}, {"--jobs"}},
-      {"sweep", {"--adaptive", "--kpti", "--flare", "--fgkaslr",
-                 "--verify-reset", "--verify"},
-       {"--endpoints", "--attack", "--cpu", "--trials", "--seed",
-        "--defense", "--noise", "--chunk", "--deadline-ms",
-        "--connect-timeout-ms", "--failures", "--flaky-plan", "--json",
-        "--jobs", "--retries", "--trial-cycle-budget", "--trial-wall-budget",
-        "--fault-plan"}},
-      {"attacks", {}, {}},
-      {"defenses", {}, {}},
-      {"models", {}, {}},
+const std::vector<Command>& commands() {
+  using cli::Kind;
+  static const std::vector<Command> table = {
+      {"models", cmd_models, {}},
+      {"tote", cmd_tote,
+       {kCpu,
+        {.name = "--no-trigger", .help = "probe with a non-secret value"},
+        {.name = "--trace", .help = "print the last probe's pipeline trace"},
+        bench::kTraceOutFlag, bench::kMetricsOutFlag}},
+      {"leak", cmd_leak,
+       {attack_flag("md"), kCpu, kDefense, kNoise, kAdaptive,
+        {.name = "--secret", .kind = Kind::String, .def = "hunter2",
+         .help = "bytes a channel attack transmits"},
+        {.name = "--confidence", .kind = Kind::Double, .def = "0.5",
+         .help = "adaptive confidence threshold", .min = 0, .max = 1},
+        {.name = "--budget", .kind = Kind::Int, .def = "0",
+         .help = "adaptive batch budget (0 = 8x the initial count)",
+         .min = 0},
+        bench::kTraceOutFlag, bench::kMetricsOutFlag}},
+      {"kaslr", cmd_kaslr,
+       bench::with_fault_flags(
+           {kCpu, kDefense, kNoise, kAdaptive, kSeed, trials_flag("1"),
+            bench::kJobsFlag, bench::kJsonFlag, bench::kTraceOutFlag,
+            bench::kMetricsOutFlag})},
+      // chaos's fault knobs default to a plan that exercises three error
+      // classes, with enough retries to recover from all of them.
+      {"chaos", cmd_chaos,
+       {attack_flag("cc"), kCpu, kDefense, trials_flag("12"),
+        kSeed.with_default("12648430"),
+        {.name = "--retries", .kind = Kind::Int, .def = "2",
+         .help = "extra attempts per failed trial", .min = 0},
+        {.name = "--trial-cycle-budget", .kind = Kind::Uint,
+         .def = "1000000000", .help = "simulated-cycle cap per attempt"},
+        {.name = "--trial-wall-budget", .kind = Kind::Double, .def = "0",
+         .help = "host wall-clock seconds per attempt (0 = off)", .min = 0},
+        {.name = "--fault-plan", .kind = Kind::String,
+         .def = "throw@2;corrupt@5;stall@8", .help = "seeded fault plan"},
+        bench::kJobsFlag.with_default("4"), bench::kJsonFlag}},
+      {"sweep", cmd_sweep,
+       bench::with_fault_flags(
+           {{.name = "--endpoints", .kind = Kind::String,
+             .help = "daemons: host:port, tcp:host:port or unix:/path, "
+                     "comma-separated (required)"},
+            attack_flag("kaslr"), kCpu, kDefense, kNoise, kAdaptive,
+            trials_flag("8"), kSeed.with_default("1"),
+            {.name = "--chunk", .kind = Kind::Int, .def = "4",
+             .help = "trials per request", .min = 1},
+            {.name = "--deadline-ms", .kind = Kind::Int, .def = "60000",
+             .help = "silence after which a request times out", .min = 1},
+            {.name = "--connect-timeout-ms", .kind = Kind::Int,
+             .def = "2000", .help = "per-dial timeout (< 0 = block)"},
+            {.name = "--failures", .kind = Kind::Int, .def = "3",
+             .help = "consecutive failures that kill an endpoint",
+             .min = 1},
+            {.name = "--flaky-plan", .kind = Kind::String,
+             .help = "deterministic transport faults (drop/shortread/stall)"},
+            {.name = "--verify",
+             .help = "rerun locally and demand identical bytes"},
+            bench::kJobsFlag, bench::kJsonFlag})},
+      {"attacks", cmd_attacks, {}},
+      {"defenses", cmd_defenses, {}},
   };
   return table;
-}
-
-/// The first --flag in `args` that `cmd` does not read ("" when none). A
-/// valued flag's argument is skipped, so values may start with "--".
-std::string unknown_flag(const std::string& cmd, const Args& args) {
-  const CommandFlags* flags = nullptr;
-  for (const CommandFlags& c : command_flags())
-    if (c.command == cmd) flags = &c;
-  if (flags == nullptr) return "";  // unknown command: usage handles it
-  auto listed = [](const std::vector<std::string>& v, const std::string& a) {
-    return std::find(v.begin(), v.end(), a) != v.end();
-  };
-  const std::vector<std::string>& argv = args.positional;
-  for (std::size_t i = 0; i < argv.size(); ++i) {
-    const std::string& a = argv[i];
-    if (a.rfind("--", 0) != 0 || a == "--list-attacks") continue;
-    if (listed(flags->valued, a)) {
-      ++i;
-    } else if (!listed(flags->switches, a)) {
-      return a;
-    }
-  }
-  return "";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
-  Args args;
-  for (int i = 2; i < argc; ++i) args.positional.emplace_back(argv[i]);
   const std::string cmd = argc > 1 ? argv[1] : "";
-  if (const std::string bad = unknown_flag(cmd, args); !bad.empty()) {
-    std::fprintf(stderr, "whisper_cli %s: unknown flag '%s'\n", cmd.c_str(),
-                 bad.c_str());
-    return 2;
+  std::string names;
+  for (const Command& c : commands()) {
+    if (cmd == c.name)
+      return c.run(cli::parse_or_exit("whisper_cli " + cmd, c.flags, argc,
+                                      argv, /*first=*/2));
+    names += (names.empty() ? "" : "|") + std::string(c.name);
   }
-  if (cmd == "--list-attacks" || args.has("--list-attacks") ||
-      cmd == "attacks")
-    return cmd_attacks();
-  if (cmd == "defenses") return cmd_defenses();
-  if (cmd == "models") return cmd_models();
-  if (cmd == "tote") return cmd_tote(args);
-  if (cmd == "leak") return cmd_leak(args);
-  if (cmd == "kaslr") return cmd_kaslr(args);
-  if (cmd == "chaos") return cmd_chaos(args);
-  if (cmd == "matrix") return cmd_matrix(args);
-  if (cmd == "sweep") return cmd_sweep(args);
   std::fprintf(stderr,
-               "usage: whisper_cli <models|tote|leak|kaslr|chaos|matrix|"
-               "sweep|attacks|defenses> [options]\n  see the header comment "
-               "of examples/whisper_cli.cpp\n");
+               "usage: whisper_cli <%s> [flags]\n  see the header comment "
+               "of examples/whisper_cli.cpp\n",
+               names.c_str());
   return 2;
 } catch (const std::exception& e) {
-  // Spec/plan validation errors (bad --attack, malformed --fault-plan, ...)
-  // should read as a usage message, not a terminate() backtrace.
+  // Spec/plan validation errors (bad --defense spec, malformed
+  // --fault-plan, ...) should read as a usage message, not a terminate()
+  // backtrace.
   std::fprintf(stderr, "whisper_cli: %s\n", e.what());
   return 2;
 }

@@ -28,12 +28,12 @@
 // byte-identical for any value — invariant 11, docs/ARCHITECTURE.md);
 // --pool caps the shared machine pool (admission control).
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport_loopback.h"
@@ -44,32 +44,25 @@ using namespace whisper;
 
 namespace {
 
-struct Args {
-  std::vector<std::string> positional;
-  bool has(const std::string& flag) const {
-    for (const auto& a : positional)
-      if (a == flag) return true;
-    return false;
-  }
-  std::string value(const std::string& flag, const std::string& dflt) const {
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) return positional[i + 1];
-    return dflt;
-  }
-};
-
-void usage() {
-  std::puts(
-      "whisper_serve — attack-as-a-service daemon\n"
-      "\n"
-      "  whisper_serve [--socket PATH] [--jobs J] [--pool N]\n"
-      "  whisper_serve --listen HOST:PORT [--jobs J] [--pool N]\n"
-      "  whisper_serve --request JSON [--socket PATH | --connect HOST:PORT]\n"
-      "  whisper_serve --shutdown [--socket PATH | --connect HOST:PORT]\n"
-      "  whisper_serve --selftest\n"
-      "\n"
-      "Protocol: one JSON object per line; verbs run, ping, list, metrics,\n"
-      "shutdown (src/serve/protocol.h; docs/REPRODUCING.md \"Serving\").");
+const cli::Table& flags() {
+  static const cli::Table table = {
+      {.name = "--help", .help = "print this text and exit"},
+      {.name = "--selftest", .help = "loopback round-trip, no socket"},
+      {.name = "--socket", .kind = cli::Kind::String,
+       .def = "/tmp/whisper_serve.sock", .help = "unix socket path"},
+      {.name = "--listen", .kind = cli::Kind::String,
+       .help = "serve on TCP HOST:PORT instead of the unix socket"},
+      {.name = "--request", .kind = cli::Kind::String,
+       .help = "send one JSON request line, print the response stream"},
+      {.name = "--shutdown", .help = "ask a running daemon to exit"},
+      {.name = "--connect", .kind = cli::Kind::String,
+       .help = "client modes: dial TCP HOST:PORT, not the unix socket"},
+      {.name = "--jobs", .kind = cli::Kind::Int, .def = "1",
+       .help = "worker threads", .min = 1},
+      {.name = "--pool", .kind = cli::Kind::Uint, .def = "4",
+       .help = "shared machine pool capacity", .min = 1},
+  };
+  return table;
 }
 
 /// Is `line` the last response of its request's stream?
@@ -135,24 +128,24 @@ int selftest() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) args.positional.emplace_back(argv[i]);
-
-  if (args.has("--help") || args.has("-h")) {
-    usage();
+  const cli::Args args = cli::parse_or_exit("whisper_serve", flags(), argc,
+                                            argv);
+  if (args.has("--help")) {
+    std::printf("%s\nProtocol: one JSON object per line; verbs run, ping, "
+                "list, metrics,\nshutdown (src/serve/protocol.h; "
+                "docs/REPRODUCING.md \"Serving\").\n",
+                cli::usage("whisper_serve", flags()).c_str());
     return 0;
   }
   if (args.has("--selftest")) return selftest();
 
-  const std::string socket_path =
-      args.value("--socket", "/tmp/whisper_serve.sock");
-  const std::string tcp_connect = args.value("--connect", "");
-  const std::string tcp_listen = args.value("--listen", "");
+  const std::string socket_path = args.str("--socket");
+  const std::string tcp_connect = args.str("--connect");
+  const std::string tcp_listen = args.str("--listen");
 
   try {
     if (args.has("--request"))
-      return send_request(socket_path, tcp_connect,
-                          args.value("--request", ""));
+      return send_request(socket_path, tcp_connect, args.str("--request"));
     if (args.has("--shutdown"))
       return send_request(socket_path, tcp_connect,
                           R"({"id":1,"verb":"shutdown"})");
@@ -160,9 +153,8 @@ int main(int argc, char** argv) {
     // Daemon mode: TCP with --listen, unix socket otherwise. Same server,
     // same protocol, same response bytes either way.
     serve::ServerOptions opts;
-    opts.jobs = std::stoi(args.value("--jobs", "1"));
-    opts.pool_capacity =
-        static_cast<std::size_t>(std::stoul(args.value("--pool", "4")));
+    opts.jobs = args.integer("--jobs");
+    opts.pool_capacity = args.uint("--pool");
     std::unique_ptr<serve::Transport> transport;
     std::string where;
     if (!tcp_listen.empty()) {

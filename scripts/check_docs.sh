@@ -9,39 +9,31 @@
 #      fails this check.
 #   3. When a build directory is given and contains the bench binaries,
 #      each documented binary must have been built.
-#   4. Every runner flag the shared harness parser (bench/bench_util.h)
-#      accepts must be documented in the guide's flag table — adding a
-#      flag without documenting it fails this check.
-#   5. Same for the extra flags bench/noise_sweep.cpp parses on top of the
-#      shared set (--noise-profile, --attacks, ...).
-#   6. Same for the extra flags bench/perf_baseline.cpp parses
-#      (--attacks, --trials, ...).
-#   7. Same for every flag examples/whisper_cli.cpp parses (--fault-plan,
-#      --retries, ...) — the CLI is the guide's primary entry point.
-#   8. docs/PERFORMANCE.md must exist and document every measurement-cell
+#   4. Every flag a bench/ or examples/ binary declares in its flag table
+#      (`.name = "--flag"` entries, src/cli/flags.h; the shared runner
+#      flags are declared in bench/bench_util.h) must be documented in the
+#      guide — adding a flag without documenting it fails this check.
+#   5. docs/PERFORMANCE.md must exist and document every measurement-cell
 #      and speedup key bench/perf_baseline.cpp writes into BENCH_perf.json
 #      (fresh_jobs1, reset_jobs1, reset_jobsN, speedup, ...) — the
 #      column glossary may not drift from the harness's actual output
 #      keys.
-#   9. The whisper_serve daemon's surface must be documented: every
-#      protocol verb in src/serve/protocol.h's kVerbs array, every flag
-#      examples/whisper_serve.cpp parses, and every flag
-#      bench/serve_soak.cpp parses must appear in docs/REPRODUCING.md.
-#  10. The defense registry (src/defense/defense.cpp) and the docs must
+#   6. Every protocol verb in src/serve/protocol.h's kVerbs array must
+#      appear in docs/REPRODUCING.md.
+#   7. The defense registry (src/defense/defense.cpp) and the docs must
 #      agree: every registered defense name must be documented in both
-#      docs/REPRODUCING.md and docs/ARCHITECTURE.md, and every flag
-#      bench/defense_matrix.cpp parses must appear in the guide. The
-#      generated docs/DEFENSE_MATRIX.md must exist and mention every
-#      registered defense (a registry addition forces a report refresh).
-#  11. Same for the attack registry (src/core/attacks/registry.cpp):
+#      docs/REPRODUCING.md and docs/ARCHITECTURE.md. The generated
+#      docs/DEFENSE_MATRIX.md must exist and mention every registered
+#      defense (a registry addition forces a report refresh).
+#   8. Same for the attack registry (src/core/attacks/registry.cpp):
 #      every registered attack name must be documented (backticked) in
 #      docs/REPRODUCING.md, docs/ARCHITECTURE.md and README.md, and must
 #      appear in the generated docs/DEFENSE_MATRIX.md — registering a new
 #      attack without docs or a matrix refresh fails this check.
-#  12. The distributed sweep surface must be documented: every flag
-#      bench/dist_soak.cpp parses, the `whisper_cli sweep` subcommand and
-#      its `--endpoints` pool grammar, the BENCH_dist.json trajectory, and
-#      invariant 13 (distribution is invisible) in docs/ARCHITECTURE.md.
+#   9. The distributed sweep surface must be documented: the
+#      `whisper_cli sweep` subcommand and its `--endpoints` pool grammar,
+#      the BENCH_dist.json trajectory, and invariant 13 (distribution is
+#      invisible) in docs/ARCHITECTURE.md.
 #
 # Usage: check_docs.sh <repo-root> [build-dir]
 # Wired into ctest as `docs_reproducing_sync` (LABELS tier2).
@@ -87,51 +79,18 @@ for name in $harnesses; do
   fi
 done
 
-# Flags the shared harness parser accepts (string literals "--..." in
-# bench_util.h) must each appear in the guide.
-flags=$(grep -oE '"--[a-z-]+"' "$root/bench/bench_util.h" | tr -d '"' |
-        sort -u)
-for flag in $flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/bench_util.h parses $flag but docs/REPRODUCING.md" \
-         "does not document it"
-    fail=1
-  fi
-done
-
-# The noise-sweep harness has its own parser on top of the shared one; its
-# flags must be documented the same way.
-sweep_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/noise_sweep.cpp" |
-              tr -d '"' | sort -u)
-for flag in $sweep_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/noise_sweep.cpp parses $flag but docs/REPRODUCING.md" \
-         "does not document it"
-    fail=1
-  fi
-done
-
-# perf_baseline likewise parses extra flags of its own.
-perf_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/perf_baseline.cpp" |
-             tr -d '"' | sort -u)
-for flag in $perf_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/perf_baseline.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
-# whisper_cli's flag set (shared harness flags plus the fault-tolerance
-# knobs) must be documented too.
-cli_flags=$(grep -oE '"--[a-z-]+"' "$root/examples/whisper_cli.cpp" |
-            tr -d '"' | sort -u)
-for flag in $cli_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: examples/whisper_cli.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
+# Every flag table entry in bench/ and examples/ must appear in the guide.
+nflags=0
+for src in "$root"/bench/*.cpp "$root"/bench/*.h "$root"/examples/*.cpp; do
+  for flag in $(grep -oE '\.name = "--[a-z-]+"' "$src" |
+                grep -oE -- '--[a-z-]+' | sort -u); do
+    nflags=$((nflags + 1))
+    if ! grep -q -- "\`$flag" "$guide"; then
+      echo "FAIL: ${src#"$root"/} declares $flag but docs/REPRODUCING.md" \
+           "does not document it"
+      fail=1
+    fi
+  done
 done
 
 # The BENCH_perf.json column glossary in docs/PERFORMANCE.md must cover
@@ -151,8 +110,7 @@ for col in $perf_cols; do
 done
 
 # The serve daemon's wire surface: every verb in the kVerbs array
-# (src/serve/protocol.h) and every flag of the daemon binary and the soak
-# harness must be documented in the guide.
+# (src/serve/protocol.h) must be documented in the guide.
 verbs=$(sed -n '/kVerbs\[\]/,/};/p' "$root/src/serve/protocol.h" |
         grep -oE '"[a-z]+"' | tr -d '"' | sort -u)
 if [[ -z "$verbs" ]]; then
@@ -162,26 +120,6 @@ fi
 for verb in $verbs; do
   if ! grep -q -- "\`$verb\`" "$guide"; then
     echo "FAIL: src/serve/protocol.h lists verb '$verb' but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
-serve_flags=$(grep -oE '"--[a-z-]+"' "$root/examples/whisper_serve.cpp" |
-              tr -d '"' | sort -u)
-for flag in $serve_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: examples/whisper_serve.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
-soak_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/serve_soak.cpp" |
-             tr -d '"' | sort -u)
-for flag in $soak_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/serve_soak.cpp parses $flag but" \
          "docs/REPRODUCING.md does not document it"
     fail=1
   fi
@@ -264,28 +202,8 @@ for name in $attacks; do
   fi
 done
 
-matrix_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/defense_matrix.cpp" |
-               tr -d '"' | sort -u)
-for flag in $matrix_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/defense_matrix.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
-# The distributed sweep surface: the soak harness's flags, the sweep
-# subcommand and its endpoint grammar, the trajectory name, and the
-# invariant it all hangs off.
-dist_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/dist_soak.cpp" |
-             tr -d '"' | sort -u)
-for flag in $dist_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/dist_soak.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
+# The distributed sweep surface: the sweep subcommand and its endpoint
+# grammar, the trajectory name, and the invariant it all hangs off.
 for needle in 'whisper_cli sweep' '--endpoints' 'BENCH_dist.json' \
               'trial_first'; do
   if ! grep -q -- "$needle" "$guide"; then
@@ -311,15 +229,10 @@ fi
 
 if [[ $fail -eq 0 ]]; then
   echo "OK: $(echo "$documented" | wc -w) documented harnesses," \
-       "$(echo "$harnesses" | wc -w) bench sources," \
-       "$(echo "$flags" | wc -w)+$(echo "$sweep_flags" | wc -w)+$(echo \
-       "$perf_flags" | wc -w)+$(echo "$cli_flags" | wc -w) harness+cli" \
-       "flags, $(echo "$perf_cols" | wc -w) perf columns," \
-       "$(echo "$verbs" | wc -w) serve verbs +" \
-       "$(echo "$serve_flags" | wc -w)+$(echo "$soak_flags" | wc -w)+$(echo \
-       "$dist_flags" | wc -w) serve+dist flags," \
-       "$(echo "$defenses" | wc -w) defenses +" \
-       "$(echo "$matrix_flags" | wc -w) matrix flags," \
+       "$(echo "$harnesses" | wc -w) bench sources, $nflags table flags," \
+       "$(echo "$perf_cols" | wc -w) perf columns," \
+       "$(echo "$verbs" | wc -w) serve verbs," \
+       "$(echo "$defenses" | wc -w) defenses," \
        "$(echo "$attacks" | wc -w) attacks, all in sync"
 fi
 exit $fail

@@ -13,6 +13,7 @@
 #include "client/flaky.h"
 #include "client/wire.h"
 #include "serve/protocol.h"
+#include "stats/json.h"
 #include "stats/rng.h"
 
 namespace whisper::client {
@@ -43,7 +44,7 @@ struct SweepState {
   }
 };
 
-std::uint64_t num_u64(const serve::JsonValue* v) {
+std::uint64_t num_u64(const stats::JsonValue* v) {
   return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->number)
                                         : 0;
 }
@@ -183,16 +184,16 @@ class EndpointWorker {
         drop_connection();
         return false;
       }
-      serve::JsonValue doc;
+      stats::JsonValue doc;
       try {
-        doc = serve::json_parse(line);
+        doc = stats::json_parse(line);
       } catch (const std::exception&) {
         // Torn line (a shortread, a daemon crash mid-write): transport
         // failure, not data.
         drop_connection();
         return false;
       }
-      const serve::JsonValue* type = doc.get("type");
+      const stats::JsonValue* type = doc.get("type");
       if (type == nullptr || !type->is_string()) {
         drop_connection();
         return false;
@@ -200,7 +201,7 @@ class EndpointWorker {
       if (type->string == "error") {
         // A refusal is deterministic — every endpoint would refuse the
         // same spec — so retrying elsewhere cannot help.
-        const serve::JsonValue* msg = doc.get("error");
+        const stats::JsonValue* msg = doc.get("error");
         fail_fatal(msg != nullptr && msg->is_string() ? msg->string
                                                       : "server error");
         return false;
@@ -221,7 +222,7 @@ class EndpointWorker {
 
   /// Store one trial line by absolute index; duplicates must match the
   /// stored bytes exactly. Returns false on a fatal determinism breach.
-  bool store_trial(const serve::JsonValue& doc, const std::string& line) {
+  bool store_trial(const stats::JsonValue& doc, const std::string& line) {
     const std::uint64_t index = num_u64(doc.get("index"));
     std::size_t endpoint_trials = 0;
     bool stored = false;

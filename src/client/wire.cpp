@@ -7,6 +7,7 @@
 #include "defense/defense.h"
 #include "noise/noise.h"
 #include "serve/protocol.h"
+#include "stats/json.h"
 #include "uarch/config.h"
 
 namespace whisper::client {
@@ -141,12 +142,12 @@ std::string canonical_done_line(const runner::RunResult& r) {
 
 namespace {
 
-std::uint64_t num_u64(const serve::JsonValue* v) {
+std::uint64_t num_u64(const stats::JsonValue* v) {
   return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->number)
                                         : 0;
 }
 
-bool boolean(const serve::JsonValue* v) {
+bool boolean(const stats::JsonValue* v) {
   return v != nullptr && v->is_bool() && v->boolean;
 }
 
@@ -168,9 +169,9 @@ std::string fold_done_line(const runner::RunSpec& spec,
   merged.spec = spec;
   merged.trials.resize(trial_lines.size());
   for (const std::string& line : trial_lines) {
-    serve::JsonValue doc;
+    stats::JsonValue doc;
     try {
-      doc = serve::json_parse(line);
+      doc = stats::json_parse(line);
     } catch (const std::exception& e) {
       throw std::runtime_error(std::string("client: bad trial line: ") +
                                e.what());
@@ -180,10 +181,10 @@ std::string fold_done_line(const runner::RunSpec& spec,
     merged.total_attempts += static_cast<std::size_t>(attempts > 0 ? attempts
                                                                    : 1);
     if (boolean(doc.get("quarantined"))) ++merged.quarantined;
-    if (const serve::JsonValue* errors = doc.get("errors");
+    if (const stats::JsonValue* errors = doc.get("errors");
         errors != nullptr && errors->is_array()) {
-      for (const serve::JsonValue& e : errors->array) {
-        const serve::JsonValue* kind = e.get("kind");
+      for (const stats::JsonValue& e : errors->array) {
+        const stats::JsonValue* kind = e.get("kind");
         if (kind == nullptr || !kind->is_string())
           throw std::runtime_error("client: trial error without a kind");
         ++merged.error_counts[error_kind_index(kind->string)];

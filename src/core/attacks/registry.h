@@ -1,8 +1,8 @@
 // Name-keyed attack registry: the one place that knows how to build each
 // attack class. whisper_cli's dispatch, the runner's trial loop and the
 // bench harnesses all construct attacks through make_attack(), so a new
-// attack registered here appears everywhere at once (--list-attacks, the
-// matrix command, noise_sweep, ...).
+// attack registered here appears everywhere at once (`whisper_cli
+// attacks`, bench/defense_matrix, noise_sweep, ...).
 #pragma once
 
 #include <functional>
@@ -18,7 +18,7 @@ namespace whisper::core {
 
 struct AttackInfo {
   std::string name;         // CLI spelling: "cc", "md", "zbl", ...
-  std::string description;  // one line for --list-attacks
+  std::string description;  // one line for `whisper_cli attacks`
   /// True when run(payload) moves a byte stream (all attacks but KASLR);
   /// callers use this to decide whether to generate a payload.
   bool channel = true;

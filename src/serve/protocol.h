@@ -36,41 +36,6 @@
 
 namespace whisper::serve {
 
-// --- Mini JSON parser ------------------------------------------------------
-// The repo deliberately has no third-party JSON dependency; stats/json.h
-// covers writing, this covers the one place we must *read* JSON. Strict
-// RFC 8259 subset: objects, arrays, strings (with escapes), numbers,
-// booleans, null. Duplicate keys keep the last value, like every practical
-// parser.
-
-struct JsonValue {
-  enum class Type : std::uint8_t { Null, Bool, Number, String, Object, Array };
-
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  /// Number: the literal as written. Integer fields parse it exactly — a
-  /// double holds integers exactly only below 2^53, and seeds span 2^64.
-  std::string literal;
-  std::string string;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-
-  [[nodiscard]] bool is_null() const { return type == Type::Null; }
-  [[nodiscard]] bool is_bool() const { return type == Type::Bool; }
-  [[nodiscard]] bool is_number() const { return type == Type::Number; }
-  [[nodiscard]] bool is_string() const { return type == Type::String; }
-  [[nodiscard]] bool is_object() const { return type == Type::Object; }
-  [[nodiscard]] bool is_array() const { return type == Type::Array; }
-
-  /// Object member lookup; nullptr when absent (or not an object).
-  [[nodiscard]] const JsonValue* get(std::string_view key) const;
-};
-
-/// Parse one complete JSON document; trailing non-whitespace is an error.
-/// Throws ProtocolError with a pointed message on malformed input.
-[[nodiscard]] JsonValue json_parse(std::string_view text);
-
 /// A request the server refuses: malformed JSON, schema violations,
 /// oversized lines. The message goes straight into the error response.
 class ProtocolError : public std::runtime_error {
@@ -82,7 +47,7 @@ class ProtocolError : public std::runtime_error {
 // --- Requests --------------------------------------------------------------
 
 /// Every verb the daemon understands, in documentation order.
-/// scripts/check_docs.sh (check 9) greps this array and demands each verb
+/// scripts/check_docs.sh (check 6) greps this array and demands each verb
 /// appear in docs/REPRODUCING.md.
 inline constexpr const char* kVerbs[] = {
     "run", "ping", "list", "metrics", "shutdown",

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 namespace whisper::stats {
 
@@ -98,147 +99,273 @@ void JsonWriter::value(bool v) {
   need_comma_ = true;
 }
 
+const JsonValue* JsonValue::get(std::string_view key) const {
+  if (type != Type::Object) return nullptr;
+  // Last occurrence wins, matching how the members were accumulated.
+  const JsonValue* found = nullptr;
+  for (const auto& [k, v] : object)
+    if (k == key) found = &v;
+  return found;
+}
+
 // ---------------------------------------------------------------------------
-// Syntax validator: recursive-descent over the RFC 8259 grammar.
+// Reader: recursive descent over the RFC 8259 grammar.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class JsonChecker {
+class Parser {
  public:
-  explicit JsonChecker(std::string_view text) : s_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
-  bool run() {
+  JsonValue document() {
+    JsonValue v = value();
     skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
+    if (pos_ != text_.size())
+      fail("trailing garbage after JSON document");
+    return v;
   }
 
  private:
-  [[nodiscard]] bool eof() const { return pos_ >= s_.size(); }
-  [[nodiscard]] char peek() const { return s_[pos_]; }
+  [[noreturn]] void fail(const std::string& why) const {
+    throw JsonError("bad JSON at byte " + std::to_string(pos_) + ": " + why);
+  }
+
   void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r'))
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+            text_[pos_] == '\r'))
       ++pos_;
   }
-  bool consume(char c) {
-    if (eof() || peek() != c) return false;
-    ++pos_;
-    return true;
+
+  char peek() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
   }
-  bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return false;
+
+  void expect(char c) {
+    if (peek() != c)
+      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
+    ++pos_;
+  }
+
+  bool consume_word(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
     pos_ += word.size();
     return true;
   }
 
-  bool value() {
-    if (eof() || depth_ > 256) return false;
+  JsonValue value() {
+    skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth)
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
+      case '"': {
+        JsonValue v;
+        v.type = JsonValue::Type::String;
+        v.string = string();
+        return v;
+      }
+      case 't':
+      case 'f': {
+        JsonValue v;
+        v.type = JsonValue::Type::Bool;
+        if (consume_word("true"))
+          v.boolean = true;
+        else if (consume_word("false"))
+          v.boolean = false;
+        else
+          fail("unrecognised literal");
+        return v;
+      }
+      case 'n': {
+        if (!consume_word("null")) fail("unrecognised literal");
+        return JsonValue{};
+      }
+      default:
+        return number();
     }
   }
 
-  bool object() {
-    ++depth_;
-    if (!consume('{')) return false;
+  JsonValue object() {
+    expect('{');
+    JsonValue v;
+    v.type = JsonValue::Type::Object;
     skip_ws();
-    if (consume('}')) { --depth_; return true; }
+    if (peek() == '}') {
+      ++pos_;
+      return v;
+    }
     for (;;) {
       skip_ws();
-      if (!string()) return false;
+      std::string key = string();
       skip_ws();
-      if (!consume(':')) return false;
+      expect(':');
+      v.object.emplace_back(std::move(key), value());
       skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (consume('}')) { --depth_; return true; }
-      if (!consume(',')) return false;
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return v;
     }
   }
 
-  bool array() {
-    ++depth_;
-    if (!consume('[')) return false;
+  JsonValue array() {
+    expect('[');
+    JsonValue v;
+    v.type = JsonValue::Type::Array;
     skip_ws();
-    if (consume(']')) { --depth_; return true; }
+    if (peek() == ']') {
+      ++pos_;
+      return v;
+    }
     for (;;) {
+      v.array.push_back(value());
       skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (consume(']')) { --depth_; return true; }
-      if (!consume(',')) return false;
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return v;
     }
   }
 
-  bool string() {
-    if (!consume('"')) return false;
-    while (!eof()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // bare control
-      if (c == '\\') {
-        if (eof()) return false;
-        const char esc = s_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i)
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(s_[pos_++])))
-              return false;
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
+  void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
+  }
+
+  unsigned hex4() {
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = peek();
+      ++pos_;
+      v <<= 4;
+      if (c >= '0' && c <= '9')
+        v |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f')
+        v |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F')
+        v |= static_cast<unsigned>(c - 'A' + 10);
+      else
+        fail("bad \\u escape");
+    }
+    return v;
+  }
+
+  std::string string() {
+    expect('"');
+    std::string out;
+    for (;;) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20)
+        fail("raw control character in string");
+      if (c != '\\') {
+        out.push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) fail("unterminated escape");
+      const char e = text_[pos_++];
+      switch (e) {
+        case '"':  out.push_back('"');  break;
+        case '\\': out.push_back('\\'); break;
+        case '/':  out.push_back('/');  break;
+        case 'b':  out.push_back('\b'); break;
+        case 'f':  out.push_back('\f'); break;
+        case 'n':  out.push_back('\n'); break;
+        case 'r':  out.push_back('\r'); break;
+        case 't':  out.push_back('\t'); break;
+        case 'u': {
+          unsigned cp = hex4();
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            // High surrogate: a low surrogate must follow.
+            if (!consume_word("\\u")) fail("lone high surrogate");
+            const unsigned lo = hex4();
+            if (lo < 0xDC00 || lo > 0xDFFF) fail("bad low surrogate");
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+            fail("lone low surrogate");
+          }
+          append_utf8(out, cp);
+          break;
         }
+        default:
+          fail("bad escape character");
       }
     }
-    return false;  // unterminated
   }
 
-  bool number() {
+  JsonValue number() {
     const std::size_t start = pos_;
-    consume('-');
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-      return false;
+    if (peek() == '-') ++pos_;
+    // int part: 0, or [1-9][0-9]*
     if (peek() == '0') {
       ++pos_;
+    } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        ++pos_;
     } else {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-        ++pos_;
+      fail("bad number");
     }
-    if (!eof() && peek() == '.') {
+    if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return false;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+      if (pos_ >= text_.size() ||
+          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        fail("bad number: digits must follow '.'");
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])))
         ++pos_;
     }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return false;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (pos_ >= text_.size() ||
+          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        fail("bad number: empty exponent");
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])))
         ++pos_;
     }
-    return pos_ > start;
+    JsonValue v;
+    v.type = JsonValue::Type::Number;
+    v.literal = std::string(text_.substr(start, pos_ - start));
+    v.number = std::strtod(v.literal.c_str(), nullptr);
+    return v;
   }
 
-  std::string_view s_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
 
 }  // namespace
 
-bool json_is_valid(std::string_view text) {
-  return JsonChecker(text).run();
-}
+JsonValue json_parse(std::string_view text) { return Parser(text).document(); }
 
 }  // namespace whisper::stats

@@ -1,15 +1,18 @@
-// Minimal JSON toolkit shared by the exporters (runner trajectories,
-// obs metrics, obs Chrome traces).
+// Minimal JSON toolkit: the writer shared by the exporters (runner
+// trajectories, obs metrics, obs Chrome traces) and the one reader (the
+// serve wire, the sweep client, the harnesses' self-validation).
 //
-// Hand-rolled (no third-party JSON dependency in the image): enough of the
-// grammar for flat objects, arrays, strings, numbers and booleans. The
+// Hand-rolled (no third-party JSON dependency in the image). The writer's
 // output is deterministic (fixed key order, fixed float formatting), so an
 // exported file is diffable across runs and across --jobs values.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace whisper::stats {
 
@@ -40,9 +43,44 @@ class JsonWriter {
   bool need_comma_ = false;
 };
 
-/// Strict syntax check of a complete JSON document (RFC 8259 grammar, no
-/// semantic validation). Used by tests to assert every exporter emits
-/// well-formed output without pulling in a parser dependency.
-[[nodiscard]] bool json_is_valid(std::string_view text);
+/// A parsed JSON value. Strict RFC 8259: objects, arrays, strings (with
+/// escapes), numbers, booleans, null. Duplicate keys keep the last value,
+/// like every practical parser.
+struct JsonValue {
+  enum class Type : std::uint8_t { Null, Bool, Number, String, Object, Array };
+
+  Type type = Type::Null;
+  bool boolean = false;
+  double number = 0.0;
+  /// Number: the literal as written. Integer fields parse it exactly — a
+  /// double holds integers exactly only below 2^53, and seeds span 2^64.
+  std::string literal;
+  std::string string;
+  std::vector<std::pair<std::string, JsonValue>> object;
+  std::vector<JsonValue> array;
+
+  [[nodiscard]] bool is_null() const { return type == Type::Null; }
+  [[nodiscard]] bool is_bool() const { return type == Type::Bool; }
+  [[nodiscard]] bool is_number() const { return type == Type::Number; }
+  [[nodiscard]] bool is_string() const { return type == Type::String; }
+  [[nodiscard]] bool is_object() const { return type == Type::Object; }
+  [[nodiscard]] bool is_array() const { return type == Type::Array; }
+
+  /// Object member lookup; nullptr when absent (or not an object).
+  [[nodiscard]] const JsonValue* get(std::string_view key) const;
+};
+
+/// Malformed JSON: "bad JSON at byte N: <why>".
+class JsonError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parse one complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than kMaxJsonDepth. Throws JsonError. Also the
+/// repo's JSON validator: an exporter's output is well-formed iff this
+/// accepts it.
+inline constexpr int kMaxJsonDepth = 256;
+[[nodiscard]] JsonValue json_parse(std::string_view text);
 
 }  // namespace whisper::stats

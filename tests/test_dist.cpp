@@ -32,6 +32,7 @@
 #include "serve/transport_loopback.h"
 #include "serve/transport_tcp.h"
 #include "serve/transport_unix.h"
+#include "stats/json.h"
 
 #if WHISPER_HAVE_FD_CONNECTION
 #include <sys/socket.h>
@@ -345,7 +346,7 @@ TEST(DistWire, TrialFirstRunsAnAbsoluteWindowOfTheSchedule) {
   EXPECT_EQ(normalize_id(lines[0]), want[2]);
   EXPECT_EQ(normalize_id(lines[1]), want[3]);
   EXPECT_EQ(normalize_id(lines[2]), want[4]);
-  const serve::JsonValue done = serve::json_parse(lines[3]);
+  const stats::JsonValue done = stats::json_parse(lines[3]);
   EXPECT_EQ(done.get("type")->string, "done");
   EXPECT_EQ(done.get("trials")->number, 3.0);
 }

@@ -481,7 +481,8 @@ std::vector<ParsedEvent> parse_trace_events(const std::string& json) {
 
 void check_chrome_schema(const std::string& json) {
   // Well-formed JSON, full stop.
-  ASSERT_TRUE(stats::json_is_valid(json)) << "exporter emitted invalid JSON";
+  ASSERT_NO_THROW((void)stats::json_parse(json))
+      << "exporter emitted invalid JSON";
 
   const std::vector<ParsedEvent> events = parse_trace_events(json);
   ASSERT_FALSE(events.empty());
@@ -540,7 +541,7 @@ TEST(ChromeTraceSchema, MergedRunnerExportIsValid) {
 TEST(ChromeTraceSchema, EmptyLogStillExportsValidJson) {
   const obs::EventLog empty;
   const std::string json = obs::to_chrome_trace(empty);
-  EXPECT_TRUE(stats::json_is_valid(json));
+  EXPECT_NO_THROW((void)stats::json_parse(json));
 }
 
 // ---------------------------------------------------------------------------
@@ -591,7 +592,7 @@ TEST(MetricsRegistry, ExportIsDeterministicAndValid) {
   b.add_counter("x", 1);
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(a.to_csv(), b.to_csv());
-  EXPECT_TRUE(stats::json_is_valid(a.to_json()));
+  EXPECT_NO_THROW((void)stats::json_parse(a.to_json()));
   EXPECT_EQ(a.to_csv().rfind("name,kind,field,value\n", 0), 0u);
 }
 
@@ -612,17 +613,25 @@ TEST(MetricsRegistry, ImportPmuUsesEventNames) {
 }
 
 TEST(JsonValidator, AcceptsAndRejects) {
-  using stats::json_is_valid;
-  EXPECT_TRUE(json_is_valid("{}"));
-  EXPECT_TRUE(json_is_valid("[1,2.5,-3e2,\"s\",true,false,null]"));
-  EXPECT_TRUE(json_is_valid("{\"a\":{\"b\":[{}]}}"));
-  EXPECT_FALSE(json_is_valid(""));
-  EXPECT_FALSE(json_is_valid("{"));
-  EXPECT_FALSE(json_is_valid("{\"a\":1,}"));
-  EXPECT_FALSE(json_is_valid("[1 2]"));
-  EXPECT_FALSE(json_is_valid("{\"a\":01}"));
-  EXPECT_FALSE(json_is_valid("\"unterminated"));
-  EXPECT_FALSE(json_is_valid("{} extra"));
+  // The reader is the validator: a document is well-formed iff it parses.
+  const auto valid = [](std::string_view text) {
+    try {
+      (void)stats::json_parse(text);
+      return true;
+    } catch (const stats::JsonError&) {
+      return false;
+    }
+  };
+  EXPECT_TRUE(valid("{}"));
+  EXPECT_TRUE(valid("[1,2.5,-3e2,\"s\",true,false,null]"));
+  EXPECT_TRUE(valid("{\"a\":{\"b\":[{}]}}"));
+  EXPECT_FALSE(valid(""));
+  EXPECT_FALSE(valid("{"));
+  EXPECT_FALSE(valid("{\"a\":1,}"));
+  EXPECT_FALSE(valid("[1 2]"));
+  EXPECT_FALSE(valid("{\"a\":01}"));
+  EXPECT_FALSE(valid("\"unterminated"));
+  EXPECT_FALSE(valid("{} extra"));
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +735,7 @@ TEST(TopDown, RealRunPartitionsExactly) {
 TEST(TrajectoryJson, CarriesTopdownAndStaysValid) {
   const runner::RunResult r = runner::run(small_md_spec(), 1);
   const std::string json = runner::to_json(r);
-  EXPECT_TRUE(stats::json_is_valid(json));
+  EXPECT_NO_THROW((void)stats::json_parse(json));
   EXPECT_NE(json.find("\"topdown\":{\"total_cycles\":"), std::string::npos);
   EXPECT_NE(json.find("\"bad_speculation\":"), std::string::npos);
 }

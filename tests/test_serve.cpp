@@ -34,6 +34,9 @@
 namespace whisper::serve {
 namespace {
 
+using stats::json_parse;
+using stats::JsonValue;
+
 // ---------------------------------------------------------------------------
 // Harness: a loopback server plus a transcript helper.
 
@@ -96,14 +99,14 @@ TEST(ServeJson, DecodesUnicodeEscapes) {
   EXPECT_EQ(json_parse(R"("Aé")").string, "A\xc3\xa9");
   // Surrogate pair: U+1F600.
   EXPECT_EQ(json_parse(R"("😀")").string, "\xf0\x9f\x98\x80");
-  EXPECT_THROW((void)json_parse(R"("\ud83d")"), ProtocolError);
+  EXPECT_THROW((void)json_parse(R"("\ud83d")"), stats::JsonError);
 }
 
 TEST(ServeJson, RejectsMalformedDocuments) {
   for (const char* bad :
        {"{nope", "{\"a\":}", "[1,]", "{\"a\":1} trailing", "01", "1.",
         "+1", "\"unterminated", "{\"a\" 1}", "tru", ""}) {
-    EXPECT_THROW((void)json_parse(bad), ProtocolError) << bad;
+    EXPECT_THROW((void)json_parse(bad), stats::JsonError) << bad;
   }
 }
 
@@ -344,7 +347,6 @@ TEST(ServeGolden, MetricsVerbReturnsAValidRegistryDocument) {
   const auto groups = by_id(lines);
   ASSERT_EQ(groups.at(2).size(), 1u);
   const std::string& m = groups.at(2)[0];
-  EXPECT_TRUE(stats::json_is_valid(m)) << m;
   const JsonValue doc = json_parse(m);
   const JsonValue* metrics = doc.get("metrics");
   ASSERT_NE(metrics, nullptr);
