@@ -13,24 +13,21 @@
 #      (`.name = "--flag"` entries, src/cli/flags.h; the shared runner
 #      flags are declared in bench/bench_util.h) must be documented in the
 #      guide — adding a flag without documenting it fails this check.
-#   5. docs/PERFORMANCE.md must exist and document every measurement-cell
-#      and speedup key bench/perf_baseline.cpp writes into BENCH_perf.json
-#      (fresh_jobs1, reset_jobs1, reset_jobsN, speedup, ...) — the
-#      column glossary may not drift from the harness's actual output
-#      keys.
-#   6. Every protocol verb in src/serve/protocol.h's kVerbs array must
-#      appear in docs/REPRODUCING.md.
-#   7. The defense registry (src/defense/defense.cpp) and the docs must
+#   5. Every protocol verb in src/serve/protocol.h's kVerbs array, and
+#      every run-request member (the `key == "..."` arms of
+#      apply_run_field() in src/serve/protocol.cpp, plus trial_first),
+#      must appear in docs/REPRODUCING.md.
+#   6. The defense registry (src/defense/defense.cpp) and the docs must
 #      agree: every registered defense name must be documented in both
 #      docs/REPRODUCING.md and docs/ARCHITECTURE.md. The generated
 #      docs/DEFENSE_MATRIX.md must exist and mention every registered
 #      defense (a registry addition forces a report refresh).
-#   8. Same for the attack registry (src/core/attacks/registry.cpp):
+#   7. Same for the attack registry (src/core/attacks/registry.cpp):
 #      every registered attack name must be documented (backticked) in
 #      docs/REPRODUCING.md, docs/ARCHITECTURE.md and README.md, and must
 #      appear in the generated docs/DEFENSE_MATRIX.md — registering a new
 #      attack without docs or a matrix refresh fails this check.
-#   9. The distributed sweep surface must be documented: the
+#   8. The distributed sweep surface must be documented: the
 #      `whisper_cli sweep` subcommand and its `--endpoints` pool grammar,
 #      the BENCH_dist.json trajectory, and invariant 13 (distribution is
 #      invisible) in docs/ARCHITECTURE.md.
@@ -42,16 +39,10 @@ set -u
 root="${1:-.}"
 build="${2:-}"
 guide="$root/docs/REPRODUCING.md"
-perf_doc="$root/docs/PERFORMANCE.md"
 fail=0
 
 if [[ ! -f "$guide" ]]; then
   echo "FAIL: $guide does not exist"
-  exit 1
-fi
-
-if [[ ! -f "$perf_doc" ]]; then
-  echo "FAIL: $perf_doc does not exist"
   exit 1
 fi
 
@@ -93,22 +84,6 @@ for src in "$root"/bench/*.cpp "$root"/bench/*.h "$root"/examples/*.cpp; do
   done
 done
 
-# The BENCH_perf.json column glossary in docs/PERFORMANCE.md must cover
-# every measurement-cell / speedup key perf_baseline.cpp actually emits
-# (the keys containing "_jobs" or "speedup" — the per-cell scalars inside
-# each cell, wall_seconds etc., ride along with them).
-perf_cols=$(grep -oE 'w\.key\("[A-Za-z_0-9]+"\)' \
-            "$root/bench/perf_baseline.cpp" |
-            sed 's/.*"\([^"]*\)".*/\1/' | grep -E '_jobs|speedup' |
-            sort -u)
-for col in $perf_cols; do
-  if ! grep -q -- "\`$col\`" "$perf_doc"; then
-    echo "FAIL: bench/perf_baseline.cpp writes BENCH_perf.json key" \
-         "'$col' but docs/PERFORMANCE.md does not document it"
-    fail=1
-  fi
-done
-
 # The serve daemon's wire surface: every verb in the kVerbs array
 # (src/serve/protocol.h) must be documented in the guide.
 verbs=$(sed -n '/kVerbs\[\]/,/};/p' "$root/src/serve/protocol.h" |
@@ -121,6 +96,22 @@ for verb in $verbs; do
   if ! grep -q -- "\`$verb\`" "$guide"; then
     echo "FAIL: src/serve/protocol.h lists verb '$verb' but" \
          "docs/REPRODUCING.md does not document it"
+    fail=1
+  fi
+done
+members=$( (sed -n '/^bool apply_run_field(/,/^}/p' \
+              "$root/src/serve/protocol.cpp" |
+            grep -oE 'key == "[a-z_]+"' | grep -oE '"[a-z_]+"' | tr -d '"'
+            echo trial_first) | sort -u)
+if [[ $(echo "$members" | wc -l) -lt 2 ]]; then
+  echo "FAIL: could not extract the run-request members from" \
+       "src/serve/protocol.cpp"
+  fail=1
+fi
+for member in $members; do
+  if ! grep -q -- "\`$member\`" "$guide"; then
+    echo "FAIL: src/serve/protocol.cpp accepts run-request member" \
+         "'$member' but docs/REPRODUCING.md does not document it"
     fail=1
   fi
 done
@@ -230,8 +221,8 @@ fi
 if [[ $fail -eq 0 ]]; then
   echo "OK: $(echo "$documented" | wc -w) documented harnesses," \
        "$(echo "$harnesses" | wc -w) bench sources, $nflags table flags," \
-       "$(echo "$perf_cols" | wc -w) perf columns," \
        "$(echo "$verbs" | wc -w) serve verbs," \
+       "$(echo "$members" | wc -w) run-request members," \
        "$(echo "$defenses" | wc -w) defenses," \
        "$(echo "$attacks" | wc -w) attacks, all in sync"
 fi

@@ -44,9 +44,41 @@ struct SweepState {
   }
 };
 
-std::uint64_t num_u64(const stats::JsonValue* v) {
-  return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->number)
-                                        : 0;
+/// One response line of a run request, checked before anything is stored.
+struct Response {
+  std::string type;
+  std::string error;      // type "error": the daemon's message
+  std::size_t index = 0;  // type "trial": the absolute trial index
+};
+
+/// Decode `line` as a response to request `id` for `chunk`. Throws
+/// stats::JsonError on a line the client must treat as torn: unparseable,
+/// a missing or malformed member, another request's id, or a trial whose
+/// index lies outside the chunk or whose folded members do not decode.
+Response decode_response(const std::string& line, std::uint64_t id,
+                         const Chunk& chunk) {
+  const stats::JsonValue doc = stats::json_parse(line);
+  Response r;
+  r.type = stats::json_string(doc.at("type"), "type");
+  if (r.type == "error") {
+    // Refusals of unparseable requests carry id 0, so no id check here.
+    const stats::JsonValue* msg = doc.get("error");
+    r.error = msg != nullptr && msg->is_string() ? msg->string
+                                                 : "server error";
+    return r;
+  }
+  if (stats::json_integer<std::uint64_t>(doc.at("id"), "id") != id)
+    throw stats::JsonError("field 'id' names another request");
+  if (r.type == "trial") {
+    const std::uint64_t index =
+        stats::json_integer<std::uint64_t>(doc.at("index"), "index");
+    if (index < chunk.first ||
+        index - chunk.first >= static_cast<std::uint64_t>(chunk.count))
+      throw stats::JsonError("field 'index' is outside the requested chunk");
+    r.index = static_cast<std::size_t>(index);
+    (void)decode_trial_line(doc);
+  }
+  return r;
 }
 
 /// One endpoint's worker: claims chunks (home queue first, then orphans),
@@ -184,37 +216,26 @@ class EndpointWorker {
         drop_connection();
         return false;
       }
-      stats::JsonValue doc;
+      Response r;
       try {
-        doc = stats::json_parse(line);
-      } catch (const std::exception&) {
-        // Torn line (a shortread, a daemon crash mid-write): transport
-        // failure, not data.
+        r = decode_response(line, id, chunk);
+      } catch (const stats::JsonError&) {
+        // Torn line (a shortread, a daemon crash mid-write) or one the
+        // stream cannot vouch for: transport failure, not data.
         drop_connection();
         return false;
       }
-      const stats::JsonValue* type = doc.get("type");
-      if (type == nullptr || !type->is_string()) {
-        drop_connection();
-        return false;
-      }
-      if (type->string == "error") {
+      if (r.type == "error") {
         // A refusal is deterministic — every endpoint would refuse the
         // same spec — so retrying elsewhere cannot help.
-        const stats::JsonValue* msg = doc.get("error");
-        fail_fatal(msg != nullptr && msg->is_string() ? msg->string
-                                                      : "server error");
+        fail_fatal(r.error);
         return false;
       }
-      if (num_u64(doc.get("id")) != id) {
-        drop_connection();  // stream out of sync with the request
-        return false;
-      }
-      if (type->string == "trial") {
-        if (!store_trial(doc, line)) return false;  // fatal
+      if (r.type == "trial") {
+        if (!store_trial(r.index, line)) return false;  // fatal
         continue;
       }
-      if (type->string == "done") return verify_chunk(chunk);
+      if (r.type == "done") return verify_chunk(chunk);
       drop_connection();  // unexpected response type mid-run
       return false;
     }
@@ -222,19 +243,13 @@ class EndpointWorker {
 
   /// Store one trial line by absolute index; duplicates must match the
   /// stored bytes exactly. Returns false on a fatal determinism breach.
-  bool store_trial(const stats::JsonValue& doc, const std::string& line) {
-    const std::uint64_t index = num_u64(doc.get("index"));
+  bool store_trial(std::size_t index, const std::string& line) {
     std::size_t endpoint_trials = 0;
     bool stored = false;
     {
       std::lock_guard<std::mutex> lock(state_.mu);
-      if (index >= state_.lines.size()) {
-        set_fatal("client: trial index " + std::to_string(index) +
-                  " out of range");
-        return false;
-      }
       std::string canonical = normalize_id(line);
-      std::string& slot = state_.lines[static_cast<std::size_t>(index)];
+      std::string& slot = state_.lines[index];
       if (slot.empty()) {
         slot = std::move(canonical);
         ++state_.received;

@@ -88,9 +88,6 @@ std::string run_request_json(std::uint64_t id, const runner::RunSpec& spec,
     append_escaped(out, defense::format(spec.defenses[i]));
   }
   out += "]";
-  out += ",\"kpti\":" + std::string(bool_str(spec.kernel.kpti));
-  out += ",\"flare\":" + std::string(bool_str(spec.kernel.flare));
-  out += ",\"fgkaslr\":" + std::string(bool_str(spec.kernel.fgkaslr));
   out += ",\"docker\":" + std::string(bool_str(spec.docker));
   out += ",\"rounds\":" + std::to_string(spec.rounds);
   out += ",\"batches\":" + std::to_string(spec.batches);
@@ -100,7 +97,6 @@ std::string run_request_json(std::uint64_t id, const runner::RunSpec& spec,
   out += ",\"confidence_threshold\":";
   append_double(out, spec.confidence_threshold);
   out += ",\"batch_budget\":" + std::to_string(spec.batch_budget);
-  out += ",\"reuse_machine\":" + std::string(bool_str(spec.reuse_machine));
   out += ",\"retries\":" + std::to_string(spec.retries);
   out += ",\"trial_cycle_budget\":" + std::to_string(spec.trial_cycle_budget);
   out += ",\"trial_wall_budget\":";
@@ -142,64 +138,62 @@ std::string canonical_done_line(const runner::RunResult& r) {
 
 namespace {
 
-std::uint64_t num_u64(const stats::JsonValue* v) {
-  return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->number)
-                                        : 0;
-}
-
-bool boolean(const stats::JsonValue* v) {
-  return v != nullptr && v->is_bool() && v->boolean;
-}
-
-std::size_t error_kind_index(const std::string& name) {
-  for (std::size_t k = 0; k < runner::kNumTrialErrorKinds; ++k)
-    if (name == runner::to_string(static_cast<runner::TrialErrorKind>(k)))
-      return k;
-  throw std::runtime_error("client: unknown trial error kind '" + name + "'");
+runner::TrialErrorKind error_kind(const std::string& name) {
+  for (std::size_t k = 0; k < runner::kNumTrialErrorKinds; ++k) {
+    const auto kind = static_cast<runner::TrialErrorKind>(k);
+    if (name == runner::to_string(kind)) return kind;
+  }
+  throw stats::JsonError("field 'kind' names no trial error kind ('" + name +
+                         "')");
 }
 
 }  // namespace
 
+runner::ScheduledTrial decode_trial_line(const stats::JsonValue& doc) {
+  using stats::json_bool;
+  using stats::json_integer;
+  runner::ScheduledTrial t;
+  runner::TrialOutcome& oc = t.outcome;
+  oc.ok = json_bool(doc.at("ok"), "ok");
+  oc.attempts = json_integer<int>(doc.at("attempts"), "attempts");
+  oc.quarantined = json_bool(doc.at("quarantined"), "quarantined");
+  const stats::JsonValue& errors = doc.at("errors");
+  if (!errors.is_array())
+    throw stats::JsonError("field 'errors' must be an array");
+  for (const stats::JsonValue& e : errors.array) {
+    runner::TrialError err;
+    err.kind = error_kind(stats::json_string(e.at("kind"), "kind"));
+    oc.errors.push_back(std::move(err));
+  }
+  runner::TrialResult& r = t.result;
+  r.success = json_bool(doc.at("success"), "success");
+  const auto count = [&doc](const char* field) {
+    return static_cast<std::size_t>(
+        json_integer<std::uint64_t>(doc.at(field), field));
+  };
+  r.probes = count("probes");
+  r.bytes = count("bytes");
+  r.byte_errors = count("byte_errors");
+  r.gave_up = count("gave_up");
+  return t;
+}
+
 std::string fold_done_line(const runner::RunSpec& spec,
                            const std::vector<std::string>& trial_lines) {
-  // Mirror of the fold in Server::execute_run() / runner merge_trials():
-  // the done line must come out byte-identical whether the trials were
+  // The same runner::tally_trial() the local merge and the daemon call,
+  // so the done line comes out byte-identical whether the trials were
   // executed here, by one daemon, or by four.
   runner::RunResult merged;
   merged.spec = spec;
   merged.trials.resize(trial_lines.size());
   for (const std::string& line : trial_lines) {
-    stats::JsonValue doc;
     try {
-      doc = stats::json_parse(line);
-    } catch (const std::exception& e) {
+      const runner::ScheduledTrial t =
+          decode_trial_line(stats::json_parse(line));
+      runner::tally_trial(merged, t.outcome, t.result);
+    } catch (const stats::JsonError& e) {
       throw std::runtime_error(std::string("client: bad trial line: ") +
                                e.what());
-    }
-    const bool ok = boolean(doc.get("ok"));
-    const std::uint64_t attempts = num_u64(doc.get("attempts"));
-    merged.total_attempts += static_cast<std::size_t>(attempts > 0 ? attempts
-                                                                   : 1);
-    if (boolean(doc.get("quarantined"))) ++merged.quarantined;
-    if (const stats::JsonValue* errors = doc.get("errors");
-        errors != nullptr && errors->is_array()) {
-      for (const stats::JsonValue& e : errors->array) {
-        const stats::JsonValue* kind = e.get("kind");
-        if (kind == nullptr || !kind->is_string())
-          throw std::runtime_error("client: trial error without a kind");
-        ++merged.error_counts[error_kind_index(kind->string)];
-      }
-    }
-    if (ok) {
-      ++merged.completed;
-      if (attempts > 1) ++merged.retried;
-      merged.successes += boolean(doc.get("success")) ? 1 : 0;
-      merged.total_probes += static_cast<std::size_t>(num_u64(doc.get("probes")));
-      merged.total_bytes += static_cast<std::size_t>(num_u64(doc.get("bytes")));
-      merged.total_byte_errors +=
-          static_cast<std::size_t>(num_u64(doc.get("byte_errors")));
-    } else {
-      ++merged.failed;
     }
   }
   return serve::response_done(0, merged);

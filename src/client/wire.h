@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "runner/runner.h"
+#include "stats/json.h"
 
 namespace whisper::client {
 
@@ -42,10 +43,17 @@ namespace whisper::client {
     const runner::RunResult& r);
 [[nodiscard]] std::string canonical_done_line(const runner::RunResult& r);
 
+/// Decode the members of a trial response line that the done-line fold
+/// reads (ok, attempts, quarantined, error kinds, success, probes, bytes,
+/// byte_errors, gave_up). Throws stats::JsonError on a missing or
+/// malformed member; the sweep client treats such a line as torn.
+[[nodiscard]] runner::ScheduledTrial decode_trial_line(
+    const stats::JsonValue& doc);
+
 /// The distributed side: fold canonical per-trial lines (index order,
-/// all non-empty) into the canonical done line, mirroring the runner's
-/// merge_trials() accounting field for field. Throws std::runtime_error
-/// on a line that does not parse as a trial response.
+/// all non-empty) into the canonical done line through runner::
+/// tally_trial(), the runner's own merge accounting. Throws
+/// std::runtime_error on a line that does not decode as a trial response.
 [[nodiscard]] std::string fold_done_line(
     const runner::RunSpec& spec, const std::vector<std::string>& trial_lines);
 

@@ -1,6 +1,8 @@
 #include "fault/fault.h"
 
 #include <cctype>
+#include <climits>
+#include <cstdint>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -45,7 +47,9 @@ std::uint64_t parse_u64(const std::string& token, const std::string& digits,
   std::uint64_t v = 0;
   for (const char c : digits) {
     if (c < '0' || c > '9') bad(token, what + " '" + digits + "' is not a number");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - d) / 10) bad(token, what + " is out of range");
+    v = v * 10 + d;
   }
   return v;
 }
@@ -76,8 +80,11 @@ Point parse_point(const std::string& token) {
     rest.pop_back();
   } else if (const std::size_t dot = rest.find('.');
              dot != std::string::npos) {
-    p.attempt = static_cast<int>(
-        parse_u64(token, rest.substr(dot + 1), "attempt"));
+    const std::uint64_t attempt =
+        parse_u64(token, rest.substr(dot + 1), "attempt");
+    if (attempt > static_cast<std::uint64_t>(INT_MAX))
+      bad(token, "attempt is out of range");
+    p.attempt = static_cast<int>(attempt);
     rest = rest.substr(0, dot);
   }
   p.trial = parse_u64(token, rest, "trial");

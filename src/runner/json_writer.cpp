@@ -70,13 +70,9 @@ std::string to_json(const RunResult& r) {
   w.value(r.spec.trials);
   w.key("base_seed");
   w.value(r.spec.base_seed);
-  // The defense stack replaces the old kpti/flare/fgkaslr bool keys: one
-  // "defenses" array of canonical defense::format() strings, derived from
-  // normalized_defenses() so legacy-bool specs and DefenseSpec specs emit
-  // identical trajectories.
   w.key("defenses");
   w.begin_array();
-  for (const defense::DefenseSpec& d : normalized_defenses(r.spec))
+  for (const defense::DefenseSpec& d : r.spec.defenses)
     w.value(defense::format(d));
   w.end_array();
   w.key("docker");

@@ -69,30 +69,9 @@ void TrialOutcome::capture_unhandled(const std::string& what) {
                               0});
 }
 
-std::vector<defense::DefenseSpec> normalized_defenses(const RunSpec& spec) {
-  std::vector<defense::DefenseSpec> out;
-  const auto add = [&out](defense::DefenseSpec d) {
-    for (defense::DefenseSpec& have : out)
-      if (have.name == d.name) {
-        have = std::move(d);  // explicit spec wins over the bool alias
-        return;
-      }
-    out.push_back(std::move(d));
-  };
-  if (spec.kernel.kpti) add({.name = "kpti"});
-  if (spec.kernel.flare) add({.name = "flare"});
-  if (spec.kernel.fgkaslr) add({.name = "fgkaslr"});
-  for (const defense::DefenseSpec& d : spec.defenses) add(d);
-  return out;
-}
-
 void validate(const RunSpec& spec) {
   (void)attack_info_or_throw(spec.attack);
-  // Duplicates *within* spec.defenses are a caller error; duplicates
-  // against the legacy kernel bools are the aliasing normalized_defenses()
-  // exists to collapse.
   defense::validate(spec.defenses);
-  defense::validate(normalized_defenses(spec));
   if (spec.retries < 0)
     throw std::invalid_argument("runner: retries must be >= 0");
   if (spec.trial_wall_budget < 0.0)
@@ -120,9 +99,9 @@ std::string RunSpec::label() const {
   out += attack;
   out += " @ ";
   out += uarch::make_config(model).name;
-  // Derived from the normalized defense list, so +FGKASLR (and every future
-  // defense) shows up — the hand-rolled kpti/flare pair silently dropped it.
-  for (const defense::DefenseSpec& d : normalized_defenses(*this)) {
+  // Derived from the defense list, so +FGKASLR (and every future defense)
+  // shows up — the hand-rolled kpti/flare pair silently dropped it.
+  for (const defense::DefenseSpec& d : defenses) {
     out += " +";
     for (const char c : defense::format(d))
       out += (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
@@ -142,15 +121,13 @@ std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t index) {
 os::MachineOptions machine_options(const RunSpec& spec, std::uint64_t seed) {
   os::MachineOptions mo;
   mo.model = spec.model;
-  mo.kernel = spec.kernel;
   mo.docker = spec.docker;
   mo.seed = seed;
   mo.noise = spec.noise;
   // Install the defense stack last, over the fields it rewrites. An empty
   // stack leaves mo untouched (mo.config stays unset), so defense-free
   // specs build byte-identical machines to the pre-defense-API ones.
-  const std::vector<defense::DefenseSpec> stack = normalized_defenses(spec);
-  if (!stack.empty()) defense::apply(stack, mo);
+  if (!spec.defenses.empty()) defense::apply(spec.defenses, mo);
   return mo;
 }
 
@@ -283,7 +260,7 @@ TrialResult attempt_trial(const RunSpec& spec, const core::AttackInfo& info,
   const std::function<void(os::Machine&)> hook =
       make_fault_hook(spec, index, attempt, plan);
 
-  if (spec.reuse_machine && !force_fresh) {
+  if (!force_fresh) {
     MachinePool& pool =
         shared_pool ? *shared_pool : MachinePool::this_thread();
     MachinePool::Lease lease = pool.acquire(spec, seed);
@@ -362,6 +339,26 @@ ScheduledTrial run_scheduled_trial(const RunSpec& spec, std::size_t i,
   return run;
 }
 
+void tally_trial(RunResult& into, const TrialOutcome& outcome,
+                 const TrialResult& result) {
+  into.total_attempts +=
+      static_cast<std::size_t>(std::max(1, outcome.attempts));
+  if (outcome.quarantined) ++into.quarantined;
+  for (const TrialError& e : outcome.errors)
+    ++into.error_counts[static_cast<std::size_t>(e.kind)];
+  if (!outcome.ok) {
+    ++into.failed;
+    return;
+  }
+  ++into.completed;
+  if (outcome.attempts > 1) ++into.retried;
+  into.successes += result.success ? 1 : 0;
+  into.total_probes += result.probes;
+  into.total_bytes += result.bytes;
+  into.total_byte_errors += result.byte_errors;
+  into.total_gave_up += result.gave_up;
+}
+
 namespace {
 
 /// The merge step: fold per-trial results, strictly in trial index order.
@@ -382,19 +379,8 @@ RunResult merge_trials(const RunSpec& spec, int jobs, double wall_seconds,
   confs.reserve(runs.size());
   for (ScheduledTrial& tr : runs) {
     const TrialResult& t = tr.result;
-    const TrialOutcome& oc = tr.outcome;
-    out.total_attempts += static_cast<std::size_t>(std::max(1, oc.attempts));
-    if (oc.quarantined) ++out.quarantined;
-    for (const TrialError& e : oc.errors)
-      ++out.error_counts[static_cast<std::size_t>(e.kind)];
-    if (oc.ok) {
-      ++out.completed;
-      if (oc.attempts > 1) ++out.retried;
-      out.successes += t.success ? 1 : 0;
-      out.total_probes += t.probes;
-      out.total_bytes += t.bytes;
-      out.total_byte_errors += t.byte_errors;
-      out.total_gave_up += t.gave_up;
+    tally_trial(out, tr.outcome, t);
+    if (tr.outcome.ok) {
       out.cycles.add(static_cast<double>(t.cycles));
       out.tote.merge(t.tote);
       for (std::size_t e = 0; e < uarch::kNumPmuEvents; ++e)
@@ -403,8 +389,6 @@ RunResult merge_trials(const RunSpec& spec, int jobs, double wall_seconds,
       out.events.append(t.events);
       secs.push_back(t.seconds);
       confs.push_back(t.confidence);
-    } else {
-      ++out.failed;
     }
     out.trials.push_back(std::move(tr.result));
     out.outcomes.push_back(std::move(tr.outcome));

@@ -2,18 +2,17 @@
 //
 // A RunSpec names one experiment cell: cpu model × attack × trial count ×
 // knobs. run() fans the trials out across an Executor's thread pool; each
-// trial runs on a private os::Machine seeded with trial_seed(base, index) —
-// by default a per-worker machine reset() between trials (the snapshot
-// fast path), or a fresh construction with reuse_machine = false — so the
-// trial stream is a pure function of the spec and the results are
-// bit-identical whatever --jobs is, and whichever trial path runs. The
-// merge step folds the per-trial stats::Histogram / per-trial timings into
-// one RunResult, always in trial index order.
+// trial runs on a pooled os::Machine reset() to trial_seed(base, index) (the
+// snapshot fast path), which is bit-identical to a fresh construction with
+// that seed (run_trial(spec, seed), the reference) — so the trial stream is
+// a pure function of the spec and the results are bit-identical whatever
+// --jobs is. The merge step folds the per-trial stats::Histogram /
+// per-trial timings into one RunResult, always in trial index order.
 //
 //   runner::RunSpec spec{.model = uarch::CpuModel::CometLakeI9_10980XE,
 //                        .attack = "kaslr",
 //                        .trials = 32,
-//                        .kernel = {.kpti = true}};
+//                        .defenses = {defense::parse("kpti")}};
 //   runner::Executor ex(/*jobs=*/8);
 //   const runner::RunResult r = runner::run(spec, ex);
 //
@@ -35,7 +34,6 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/topdown.h"
-#include "os/kernel_layout.h"
 #include "os/machine.h"
 #include "runner/executor.h"
 #include "stats/histogram.h"
@@ -60,16 +58,12 @@ struct RunSpec {
   std::string attack = "kaslr";
   int trials = 1;
   std::uint64_t base_seed = 1;
-  os::KernelOptions kernel{};
   bool docker = false;
 
   /// The defense stack (defense::registry() keys + params) this cell runs
-  /// under, applied to every trial's MachineOptions in list order. The
-  /// legacy kernel.kpti/flare/fgkaslr bools still work — they are aliases:
-  /// normalized_defenses() folds them in ahead of this list, and every
-  /// consumer (label, pool key, JSON, wire) goes through it, so
-  /// {.kernel = {.kpti = true}} and {.defenses = {parse("kpti")}} name the
-  /// same cell everywhere.
+  /// under, applied to every trial's MachineOptions in list order. The one
+  /// spelling of kpti/flare/fgkaslr and every other defense: label, pool
+  /// key, JSON and wire all read this list.
   std::vector<defense::DefenseSpec> defenses;
 
   /// Interference profile each trial's Machine runs under (noise.off() by
@@ -94,15 +88,6 @@ struct RunSpec {
   /// Off by default: full event capture is memory-heavy, and with it off
   /// the core's trace hooks stay a branch on a null pointer.
   bool collect_trace = false;
-
-  /// Trial fast path: each worker thread keeps one os::Machine per distinct
-  /// construction key and reset()s it between trials instead of rebuilding
-  /// page tables, caches and predictors from scratch. Results are
-  /// bit-identical either way — the per-trial seed schedule is shared (see
-  /// machine_options()) and tests/test_machine_reset.cpp pins equality —
-  /// so this is on by default; bench/perf_baseline measures the two paths
-  /// against each other by flipping it.
-  bool reuse_machine = true;
 
   // --- Fault tolerance (docs/ARCHITECTURE.md "Failure semantics") ---------
   /// Extra attempts per failed trial. Retries reuse the trial's own
@@ -136,15 +121,6 @@ struct RunSpec {
 /// this before the fan-out, so a bad spec fails fast with zero trials
 /// spawned.
 void validate(const RunSpec& spec);
-
-/// The spec's effective defense stack: the legacy kernel bools (kpti, flare,
-/// fgkaslr — in that order) folded in ahead of spec.defenses, with
-/// duplicates against the bools collapsed. This is the single list every
-/// defense consumer derives from — label(), machine_key(), the JSON
-/// trajectory writer and machine_options() — so the two spellings of the
-/// same cell are indistinguishable downstream.
-[[nodiscard]] std::vector<defense::DefenseSpec> normalized_defenses(
-    const RunSpec& spec);
 
 /// Why a trial attempt failed. One TrialError is recorded per failed
 /// attempt; the enum is the JSON/metrics vocabulary ("run.errors.<name>").
@@ -256,6 +232,15 @@ struct RunResult {
   /// Every scheduled trial produced a result (possibly after retries).
   [[nodiscard]] bool all_completed() const noexcept { return failed == 0; }
 };
+
+/// The counter half of the merge step: fold one trial's fault-layer account
+/// (attempts, quarantine, error kinds, completed/retried/failed) and, for a
+/// completed trial, its result counters (successes, probes, bytes,
+/// byte_errors, gave_up) into `into`. The runner's merge, the serve
+/// daemon's done line and the sweep client's fold of wire trial lines all
+/// call this one function, so the three cannot drift apart.
+void tally_trial(RunResult& into, const TrialOutcome& outcome,
+                 const TrialResult& result);
 
 /// Everything a finished run measured, as one named-metric registry:
 /// "run.*" counters (trials, successes, probes, bytes, byte_errors,

@@ -1,11 +1,5 @@
 #include "serve/protocol.h"
 
-#include <charconv>
-#include <cmath>
-#include <limits>
-#include <system_error>
-#include <type_traits>
-
 #include "core/attacks/registry.h"
 #include "defense/defense.h"
 #include "noise/noise.h"
@@ -20,63 +14,16 @@ using stats::JsonValue;
 
 namespace {
 
-double want_number(const JsonValue& v, const char* field) {
-  if (!v.is_number())
-    throw ProtocolError(std::string("field '") + field + "' must be a number");
-  return v.number;
+using stats::json_bool;
+using stats::json_number;
+using stats::json_string;
+
+std::uint64_t json_u64(const JsonValue& v, const char* field) {
+  return stats::json_integer<std::uint64_t>(v, field);
 }
 
-/// The exact value of an integer field of type T. A plain integer literal
-/// is parsed digit for digit; one with a fraction or an exponent must still
-/// name an integer, below 2^53 where its double is exact. Values outside T
-/// are refused, never wrapped or rounded.
-template <typename T>
-T want_integer(const JsonValue& v, const char* field, const char* kind) {
-  const double d = want_number(v, field);
-  auto refuse = [&](const char* why) -> T {
-    throw ProtocolError(std::string("field '") + field + "' " + why);
-  };
-  const std::string& text = v.literal;
-  if (text.find_first_of(".eE") == std::string::npos) {
-    if (std::is_unsigned_v<T> && text.front() == '-')
-      return d == 0 ? T{0} : refuse(kind);  // "-0" is zero
-    T out{};
-    const char* last = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), last, out);
-    if (ec == std::errc::result_out_of_range) return refuse("is out of range");
-    if (ec != std::errc() || ptr != last) return refuse(kind);
-    return out;
-  }
-  if (d != std::floor(d) || (std::is_unsigned_v<T> && d < 0))
-    return refuse(kind);
-  constexpr double kExact = 9007199254740992.0;  // 2^53
-  if (std::fabs(d) >= kExact ||
-      d < static_cast<double>(std::numeric_limits<T>::min()) ||
-      d > static_cast<double>(std::numeric_limits<T>::max()))
-    return refuse("is out of range");
-  return static_cast<T>(d);
-}
-
-std::uint64_t want_u64(const JsonValue& v, const char* field) {
-  return want_integer<std::uint64_t>(v, field,
-                                     "must be a non-negative integer");
-}
-
-int want_int(const JsonValue& v, const char* field) {
-  return want_integer<int>(v, field, "must be an integer");
-}
-
-bool want_bool(const JsonValue& v, const char* field) {
-  if (!v.is_bool())
-    throw ProtocolError(std::string("field '") + field +
-                        "' must be a boolean");
-  return v.boolean;
-}
-
-std::string want_string(const JsonValue& v, const char* field) {
-  if (!v.is_string())
-    throw ProtocolError(std::string("field '") + field + "' must be a string");
-  return v.string;
+int json_int(const JsonValue& v, const char* field) {
+  return stats::json_integer<int>(v, field);
 }
 
 std::string join_verbs() {
@@ -94,21 +41,21 @@ std::string join_verbs() {
 bool apply_run_field(runner::RunSpec& spec, const std::string& key,
                      const JsonValue& v) {
   if (key == "attack") {
-    spec.attack = want_string(v, "attack");
+    spec.attack = json_string(v, "attack");
   } else if (key == "cpu") {
     // Same convention as whisper_cli --cpu: an index into all_models().
     const auto models = uarch::all_models();
-    const std::uint64_t n = want_u64(v, "cpu");
+    const std::uint64_t n = json_u64(v, "cpu");
     if (n >= models.size())
       throw ProtocolError("field 'cpu' out of range (0.." +
                           std::to_string(models.size() - 1) + ")");
     spec.model = models[static_cast<std::size_t>(n)];
   } else if (key == "trials") {
-    spec.trials = want_int(v, "trials");
+    spec.trials = json_int(v, "trials");
   } else if (key == "seed") {
-    spec.base_seed = want_u64(v, "seed");
+    spec.base_seed = json_u64(v, "seed");
   } else if (key == "noise") {
-    const std::string name = want_string(v, "noise");
+    const std::string name = json_string(v, "noise");
     const auto profile = noise::NoiseProfile::by_name(name);
     if (!profile) {
       std::string known;
@@ -123,7 +70,7 @@ bool apply_run_field(runner::RunSpec& spec, const std::string& key,
     spec.noise = *profile;
     if (keep_seed != 0) spec.noise.seed = keep_seed;
   } else if (key == "noise_seed") {
-    spec.noise.seed = want_u64(v, "noise_seed");
+    spec.noise.seed = json_u64(v, "noise_seed");
   } else if (key == "defenses") {
     // The defense stack: an array of defense::parse() strings
     // ("kpti", "window:depth=8"). Grammar errors become protocol errors
@@ -134,80 +81,59 @@ bool apply_run_field(runner::RunSpec& spec, const std::string& key,
     spec.defenses.clear();
     for (const JsonValue& d : v.array) {
       try {
-        spec.defenses.push_back(defense::parse(want_string(d, "defenses")));
+        spec.defenses.push_back(defense::parse(json_string(d, "defenses")));
       } catch (const std::invalid_argument& e) {
         throw ProtocolError(e.what());
       }
     }
-  } else if (key == "kpti") {
-    // Back-compat aliases for the pre-defense-API wire: the bools land on
-    // the kernel options, which runner::normalized_defenses() folds in
-    // ahead of the "defenses" array.
-    spec.kernel.kpti = want_bool(v, "kpti");
-  } else if (key == "flare") {
-    spec.kernel.flare = want_bool(v, "flare");
-  } else if (key == "fgkaslr") {
-    spec.kernel.fgkaslr = want_bool(v, "fgkaslr");
   } else if (key == "docker") {
-    spec.docker = want_bool(v, "docker");
+    spec.docker = json_bool(v, "docker");
   } else if (key == "rounds") {
-    spec.rounds = want_int(v, "rounds");
+    spec.rounds = json_int(v, "rounds");
   } else if (key == "batches") {
-    spec.batches = want_int(v, "batches");
+    spec.batches = json_int(v, "batches");
   } else if (key == "payload_bytes") {
-    spec.payload_bytes = static_cast<std::size_t>(want_u64(v, "payload_bytes"));
+    spec.payload_bytes = static_cast<std::size_t>(json_u64(v, "payload_bytes"));
   } else if (key == "payload_seed") {
-    spec.payload_seed = want_u64(v, "payload_seed");
+    spec.payload_seed = json_u64(v, "payload_seed");
   } else if (key == "adaptive") {
-    spec.adaptive = want_bool(v, "adaptive");
+    spec.adaptive = json_bool(v, "adaptive");
   } else if (key == "confidence_threshold") {
-    spec.confidence_threshold = want_number(v, "confidence_threshold");
+    spec.confidence_threshold = json_number(v, "confidence_threshold");
   } else if (key == "batch_budget") {
-    spec.batch_budget = want_int(v, "batch_budget");
-  } else if (key == "reuse_machine") {
-    spec.reuse_machine = want_bool(v, "reuse_machine");
+    spec.batch_budget = json_int(v, "batch_budget");
   } else if (key == "retries") {
-    spec.retries = want_int(v, "retries");
+    spec.retries = json_int(v, "retries");
   } else if (key == "trial_cycle_budget") {
-    spec.trial_cycle_budget = want_u64(v, "trial_cycle_budget");
+    spec.trial_cycle_budget = json_u64(v, "trial_cycle_budget");
   } else if (key == "trial_wall_budget") {
-    spec.trial_wall_budget = want_number(v, "trial_wall_budget");
+    spec.trial_wall_budget = json_number(v, "trial_wall_budget");
   } else if (key == "verify_reset") {
-    spec.verify_reset = want_bool(v, "verify_reset");
+    spec.verify_reset = json_bool(v, "verify_reset");
   } else if (key == "fault_plan") {
-    spec.fault_plan = want_string(v, "fault_plan");
+    spec.fault_plan = json_string(v, "fault_plan");
   } else {
     return false;
   }
   return true;
 }
 
-}  // namespace
-
-Request parse_request(const std::string& line) {
-  if (line.size() > kMaxRequestBytes)
-    throw ProtocolError("request line exceeds " +
-                        std::to_string(kMaxRequestBytes) + " bytes (got " +
-                        std::to_string(line.size()) + ")");
-  JsonValue doc;
-  try {
-    doc = stats::json_parse(line);
-  } catch (const stats::JsonError& e) {
-    throw ProtocolError(e.what());
-  }
+/// The request schema over a parsed document. The typed readers throw
+/// stats::JsonError; parse_request() turns those into ProtocolErrors.
+Request parse_request_doc(const JsonValue& doc) {
   if (!doc.is_object()) throw ProtocolError("request must be a JSON object");
 
   Request req;
   const JsonValue* id = doc.get("id");
   if (!id) throw ProtocolError("request missing numeric 'id'");
-  req.id = want_u64(*id, "id");
+  req.id = json_u64(*id, "id");
   if (req.id == 0)
     throw ProtocolError("field 'id' must be positive (0 is reserved for "
                         "unparseable requests)");
 
   const JsonValue* verb = doc.get("verb");
   if (!verb) throw ProtocolError("request missing 'verb'");
-  req.verb = want_string(*verb, "verb");
+  req.verb = json_string(*verb, "verb");
   bool known = false;
   for (const char* v : kVerbs)
     if (req.verb == v) known = true;
@@ -222,7 +148,7 @@ Request parse_request(const std::string& line) {
         // Shard window start (see Request::trial_first) — a request
         // member, not a RunSpec knob, so it is handled here rather than
         // in apply_run_field().
-        req.trial_first = want_u64(v, "trial_first");
+        req.trial_first = json_u64(v, "trial_first");
         continue;
       }
       if (!apply_run_field(req.spec, key, v))
@@ -237,6 +163,20 @@ Request parse_request(const std::string& line) {
     }
   }
   return req;
+}
+
+}  // namespace
+
+Request parse_request(const std::string& line) {
+  if (line.size() > kMaxRequestBytes)
+    throw ProtocolError("request line exceeds " +
+                        std::to_string(kMaxRequestBytes) + " bytes (got " +
+                        std::to_string(line.size()) + ")");
+  try {
+    return parse_request_doc(stats::json_parse(line));
+  } catch (const stats::JsonError& e) {
+    throw ProtocolError(e.what());
+  }
 }
 
 // --- Response writers ------------------------------------------------------

@@ -1,9 +1,14 @@
 #include "stats/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <system_error>
+#include <type_traits>
 
 namespace whisper::stats {
 
@@ -107,6 +112,68 @@ const JsonValue* JsonValue::get(std::string_view key) const {
     if (k == key) found = &v;
   return found;
 }
+
+const JsonValue& JsonValue::at(std::string_view key) const {
+  const JsonValue* v = get(key);
+  if (v == nullptr)
+    throw JsonError("missing field '" + std::string(key) + "'");
+  return *v;
+}
+
+namespace {
+
+[[noreturn]] void refuse(const char* field, const char* why) {
+  throw JsonError(std::string("field '") + field + "' " + why);
+}
+
+}  // namespace
+
+double json_number(const JsonValue& v, const char* field) {
+  if (!v.is_number()) refuse(field, "must be a number");
+  return v.number;
+}
+
+bool json_bool(const JsonValue& v, const char* field) {
+  if (!v.is_bool()) refuse(field, "must be a boolean");
+  return v.boolean;
+}
+
+const std::string& json_string(const JsonValue& v, const char* field) {
+  if (!v.is_string()) refuse(field, "must be a string");
+  return v.string;
+}
+
+template <typename T>
+T json_integer(const JsonValue& v, const char* field) {
+  const char* kind = std::is_unsigned_v<T> ? "must be a non-negative integer"
+                                           : "must be an integer";
+  const double d = json_number(v, field);
+  const std::string& text = v.literal;
+  if (text.find_first_of(".eE") == std::string::npos) {
+    if (std::is_unsigned_v<T> && text.front() == '-') {
+      if (d != 0) refuse(field, kind);
+      return T{0};  // "-0" is zero
+    }
+    T out{};
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+    if (ec == std::errc::result_out_of_range) refuse(field, "is out of range");
+    if (ec != std::errc() || ptr != last) refuse(field, kind);
+    return out;
+  }
+  if (d != std::floor(d) || (std::is_unsigned_v<T> && d < 0))
+    refuse(field, kind);
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (std::fabs(d) >= kExact ||
+      d < static_cast<double>(std::numeric_limits<T>::min()) ||
+      d > static_cast<double>(std::numeric_limits<T>::max()))
+    refuse(field, "is out of range");
+  return static_cast<T>(d);
+}
+
+template int json_integer<int>(const JsonValue&, const char*);
+template std::uint64_t json_integer<std::uint64_t>(const JsonValue&,
+                                                   const char*);
 
 // ---------------------------------------------------------------------------
 // Reader: recursive descent over the RFC 8259 grammar.

@@ -68,13 +68,31 @@ struct JsonValue {
 
   /// Object member lookup; nullptr when absent (or not an object).
   [[nodiscard]] const JsonValue* get(std::string_view key) const;
+  /// Object member lookup that throws JsonError ("missing field 'key'")
+  /// when absent.
+  [[nodiscard]] const JsonValue& at(std::string_view key) const;
 };
 
-/// Malformed JSON: "bad JSON at byte N: <why>".
+/// Malformed JSON ("bad JSON at byte N: <why>"), or a member the typed
+/// readers below refuse ("field 'x' must be a boolean").
 class JsonError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Typed member readers, shared by both directions of the serve wire. Each
+/// returns the value of member `field` or throws JsonError naming it — a
+/// missing, mistyped or inexact member is never read as a default.
+[[nodiscard]] double json_number(const JsonValue& v, const char* field);
+[[nodiscard]] bool json_bool(const JsonValue& v, const char* field);
+[[nodiscard]] const std::string& json_string(const JsonValue& v,
+                                             const char* field);
+/// The exact value of an integer member of type T (int or std::uint64_t).
+/// A plain integer literal is parsed digit for digit; one with a fraction
+/// or an exponent must still name an integer, below 2^53 where its double
+/// is exact. Values outside T are refused, never wrapped or rounded.
+template <typename T>
+[[nodiscard]] T json_integer(const JsonValue& v, const char* field);
 
 /// Parse one complete JSON document; trailing non-whitespace is an error,
 /// and so is nesting deeper than kMaxJsonDepth. Throws JsonError. Also the

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/endpoint.h"
@@ -469,6 +471,111 @@ TEST(DistSweep, AllEndpointsDeadReportsIncompleteWithoutHanging) {
   EXPECT_EQ(r.stats.dead_endpoints, 2u);
   EXPECT_EQ(r.trials_received, 0u);
   EXPECT_GT(r.stats.unreachable, 0u);
+}
+
+/// A connection whose first trial response line is rewritten by a script;
+/// every other line passes through untouched.
+class RewriteFirstTrial : public serve::Connection {
+ public:
+  RewriteFirstTrial(std::unique_ptr<serve::Connection> inner,
+                    std::function<std::string(std::string)> rewrite)
+      : inner_(std::move(inner)), rewrite_(std::move(rewrite)) {}
+
+  bool read_line(std::string& out) override {
+    return read_line_for(out, -1) == serve::ReadStatus::kLine;
+  }
+  serve::ReadStatus read_line_for(std::string& out, int timeout_ms) override {
+    const serve::ReadStatus st = inner_->read_line_for(out, timeout_ms);
+    if (st == serve::ReadStatus::kLine && rewrite_ &&
+        out.find("\"type\":\"trial\"") != std::string::npos)
+      out = std::exchange(rewrite_, nullptr)(out);
+    return st;
+  }
+  bool write_line(const std::string& line) override {
+    return inner_->write_line(line);
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] std::string peer() const override { return inner_->peer(); }
+
+ private:
+  std::unique_ptr<serve::Connection> inner_;
+  std::function<std::string(std::string)> rewrite_;
+};
+
+/// A loopback daemon whose first connection answers with one scripted bad
+/// trial line; every later connection is honest.
+class ScriptedEndpoint : public Endpoint {
+ public:
+  ScriptedEndpoint(serve::LoopbackTransport& transport,
+                   std::function<std::string(std::string)> rewrite)
+      : inner_(transport), rewrite_(std::move(rewrite)) {}
+
+  std::unique_ptr<serve::Connection> dial(int timeout_ms) override {
+    std::unique_ptr<serve::Connection> conn = inner_.dial(timeout_ms);
+    if (!rewrite_) return conn;
+    return std::make_unique<RewriteFirstTrial>(
+        std::move(conn), std::exchange(rewrite_, nullptr));
+  }
+  [[nodiscard]] std::string label() const override { return "scripted"; }
+
+ private:
+  LoopbackEndpoint inner_;
+  std::function<std::string(std::string)> rewrite_;
+};
+
+std::string replace_once(std::string line, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = line.find(from);
+  if (at != std::string::npos) line.replace(at, from.size(), to);
+  return line;
+}
+
+TEST(DistSweep, MalformedResponseLinesAreTornNotStored) {
+  // A response line whose id, index or folded members the client cannot
+  // read exactly is a torn line: the connection is dropped and counted,
+  // nothing from it is stored, and the retry on an honest connection
+  // merges byte-identically.
+  const runner::RunSpec spec = cheap_spec(4);
+  const runner::RunResult local = runner::run(spec, 1);
+  const std::pair<const char*, std::function<std::string(std::string)>>
+      scripts[] = {
+          {"missing id",
+           [](std::string l) { return replace_once(l, "\"id\":1,", ""); }},
+          {"fractional id",
+           [](std::string l) {
+             return replace_once(l, "\"id\":1,", "\"id\":1.5,");
+           }},
+          {"missing index",
+           [](std::string l) {
+             return replace_once(l, "\"index\":0,", "");
+           }},
+          {"index outside the chunk",
+           [](std::string l) {
+             return replace_once(l, "\"index\":0,", "\"index\":3,");
+           }},
+          {"malformed folded member",
+           [](std::string l) {
+             const std::size_t at = l.find("\"probes\":") + 9;
+             const std::size_t end = l.find(',', at);
+             return l.substr(0, at) + "\"7\"" + l.substr(end);
+           }},
+      };
+  for (const auto& [name, rewrite] : scripts) {
+    serve::LoopbackTransport transport;
+    serve::Server server(transport, serve::ServerOptions{});
+    server.start();
+    std::vector<std::shared_ptr<Endpoint>> endpoints = {
+        std::make_shared<ScriptedEndpoint>(transport, rewrite)};
+    SweepClient sweeper(fast_opts());
+    const SweepResult r = sweeper.sweep(spec, endpoints);
+    server.stop();
+
+    ASSERT_TRUE(r.complete) << name << ": " << r.error;
+    EXPECT_EQ(r.trial_lines, canonical_trial_lines(local)) << name;
+    EXPECT_EQ(r.done_line, canonical_done_line(local)) << name;
+    EXPECT_EQ(r.stats.reconnects, 1u) << name;
+    EXPECT_EQ(r.stats.duplicate_trials, 0u) << name;
+  }
 }
 
 #if WHISPER_HAVE_FD_CONNECTION

@@ -1,16 +1,24 @@
-// Seeded generative fuzz of the two parsers that read outside input: the
-// flag parser (every binary's argv) and stats::json_parse (serve request
-// lines, sweep-client responses, self-validated trajectories). Each case
-// must end in a clean parse or the parser's typed error — never a crash,
-// a hang, or any other exception. Part of whisper_san_tests, so ASan and
-// UBSan watch every input; the seeds make any failure reproducible.
+// Seeded generative fuzz of every parser that reads outside input: the
+// flag parser (every binary's argv), stats::json_parse (serve request
+// lines, sweep-client responses, self-validated trajectories), and the
+// three small grammars behind flags and wire members — fault plans
+// (fault::FaultPlan::parse), defense stacks (defense::parse_list) and
+// endpoint lists (client::parse_endpoint_list). Each case must end in a
+// clean parse, which round-trips through the grammar's formatter, or the
+// parser's typed error — never a crash, a hang, or any other exception.
+// Part of whisper_san_tests, so ASan and UBSan watch every input; the
+// seeds make any failure reproducible.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cli/flags.h"
+#include "client/endpoint.h"
+#include "defense/defense.h"
+#include "fault/fault.h"
 #include "stats/json.h"
 #include "stats/rng.h"
 
@@ -181,6 +189,161 @@ TEST(InputFuzz, JsonNestingIsBounded) {
     EXPECT_THROW((void)stats::json_parse(deep), stats::JsonError);
   }
   EXPECT_THROW((void)stats::json_parse("[" + ok_doc + "]"), stats::JsonError);
+}
+
+/// `pick` from `words`, or a mutation of it, or random bytes.
+std::string word(stats::Xoshiro256& rng,
+                 const std::vector<std::string>& words) {
+  const std::string& pick = words[rng.next_below(words.size())];
+  switch (rng.next_below(6)) {
+    case 0: return random_bytes(rng, 6);
+    case 1: return mutate(rng, pick);
+    default: return pick;
+  }
+}
+
+/// A fault-plan point in the plan grammar's own spelling.
+std::string format_point(const fault::Point& p) {
+  std::string out = fault::to_string(p.kind);
+  if (p.random)
+    return out + "~" + std::to_string(p.rate_permille) + "@" +
+           std::to_string(p.seed);
+  out += "@" + std::to_string(p.trial);
+  if (p.attempt == -1) return out + "*";
+  if (p.attempt != 0) out += "." + std::to_string(p.attempt);
+  return out;
+}
+
+TEST(InputFuzz, FaultPlanParsesOrRaisesInvalidArgument) {
+  const std::vector<std::string> kinds = {
+      "throw", "corrupt", "stall", "sleep", "drop", "shortread", "nope", ""};
+  const std::vector<std::string> numbers = {
+      "0", "1", "7", "1000", "1001", "2147483647", "2147483648",
+      "18446744073709551615", "18446744073709551616", "", "-1", "x"};
+  stats::Xoshiro256 rng(0xfa017ed);
+  int parsed = 0, refused = 0;
+  for (int i = 0; i < kCases; ++i) {
+    std::string spec;
+    for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+      if (!spec.empty()) spec += rng.next_below(2) == 1 ? ";" : ", ";
+      std::string point = word(rng, kinds);
+      switch (rng.next_below(4)) {
+        case 0: point += "~" + word(rng, numbers) + "@"; break;
+        default: point += "@"; break;
+      }
+      point += word(rng, numbers);
+      switch (rng.next_below(4)) {
+        case 0: point += "*"; break;
+        case 1: point += "." + word(rng, numbers); break;
+        default: break;
+      }
+      spec += point;
+    }
+    if (rng.next_below(4) == 0) spec = mutate(rng, spec);
+    try {
+      const fault::FaultPlan plan = fault::FaultPlan::parse(spec);
+      // Round trip: each point's canonical spelling parses back to it.
+      std::string canonical;
+      for (const fault::Point& p : plan.points())
+        canonical += (canonical.empty() ? "" : ";") + format_point(p);
+      const fault::FaultPlan again = fault::FaultPlan::parse(canonical);
+      ASSERT_EQ(again.points().size(), plan.points().size()) << spec;
+      for (std::size_t k = 0; k < plan.points().size(); ++k)
+        EXPECT_EQ(format_point(again.points()[k]),
+                  format_point(plan.points()[k]))
+            << spec;
+      ++parsed;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("fault: bad plan point", 0), 0u)
+          << spec;
+      ++refused;
+    }
+  }
+  EXPECT_GT(parsed, kCases / 20);
+  EXPECT_GT(refused, kCases / 20);
+  // Numbers past their field are refused, never wrapped: 2^64 is not
+  // trial 0, and attempt 2^32 - 1 is not "every attempt".
+  for (const char* wrap : {"throw@18446744073709551616", "throw@1.4294967295",
+                           "throw@1.2147483648", "sleep~1@18446744073709551616"})
+    EXPECT_THROW((void)fault::FaultPlan::parse(wrap), std::invalid_argument)
+        << wrap;
+}
+
+TEST(InputFuzz, DefenseListParsesOrRaisesInvalidArgument) {
+  const std::vector<std::string> names = {
+      "kpti", "flare", "fgkaslr", "window", "lfence", "none", "x_1", "A",
+      ""};
+  const std::vector<std::string> params = {
+      "depth=8", "levels=3", "k=v", "=v", "k=", "k", "a=b=c", "K=1", ""};
+  stats::Xoshiro256 rng(0xdefe45e);
+  int parsed = 0, refused = 0;
+  for (int i = 0; i < kCases; ++i) {
+    std::string text;
+    for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+      if (!text.empty()) text += "+";
+      text += word(rng, names);
+      for (std::uint64_t k = rng.next_below(3); k > 0; --k)
+        text += ":" + word(rng, params);
+    }
+    if (rng.next_below(4) == 0) text = mutate(rng, text);
+    try {
+      const std::vector<defense::DefenseSpec> specs =
+          defense::parse_list(text);
+      // format_list is the exact inverse, "" and "none" aside.
+      EXPECT_EQ(defense::format_list(specs),
+                text.empty() ? std::string("none") : text);
+      EXPECT_EQ(defense::parse_list(defense::format_list(specs)), specs);
+      ++parsed;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("defense: cannot parse", 0), 0u)
+          << text;
+      ++refused;
+    }
+  }
+  EXPECT_GT(parsed, kCases / 20);
+  EXPECT_GT(refused, kCases / 20);
+}
+
+TEST(InputFuzz, EndpointListParsesOrRaisesInvalidArgument) {
+  const std::vector<std::string> endpoints = {
+      "tcp:127.0.0.1:7777", "localhost:9", "unix:/tmp/w.sock", "/tmp/w.sock",
+      "tcp:", "unix:", "host", "host:", ":1", "tcp:tcp:1:2", " a:1 ", ""};
+  stats::Xoshiro256 rng(0xe4d901);
+  int parsed = 0, refused = 0;
+  for (int i = 0; i < kCases; ++i) {
+    std::string csv;
+    for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+      if (!csv.empty()) csv += ",";
+      csv += word(rng, endpoints);
+    }
+    if (rng.next_below(4) == 0) csv = mutate(rng, csv);
+    try {
+      const std::vector<client::EndpointSpec> specs =
+          client::parse_endpoint_list(csv);
+      ASSERT_FALSE(specs.empty()) << csv;
+      // canonical() is the formatter: it parses back to the same spec,
+      // one endpoint at a time and as a list.
+      std::string joined;
+      for (const client::EndpointSpec& e : specs) {
+        const client::EndpointSpec again =
+            client::parse_endpoint(e.canonical());
+        EXPECT_EQ(again.kind, e.kind) << csv;
+        EXPECT_EQ(again.address, e.address) << csv;
+        joined += (joined.empty() ? "" : ",") + e.canonical();
+      }
+      const std::vector<client::EndpointSpec> relisted =
+          client::parse_endpoint_list(joined);
+      ASSERT_EQ(relisted.size(), specs.size()) << csv;
+      for (std::size_t k = 0; k < specs.size(); ++k)
+        EXPECT_EQ(relisted[k].canonical(), specs[k].canonical()) << csv;
+      ++parsed;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("client: ", 0), 0u) << csv;
+      ++refused;
+    }
+  }
+  EXPECT_GT(parsed, kCases / 20);
+  EXPECT_GT(refused, kCases / 20);
 }
 
 }  // namespace

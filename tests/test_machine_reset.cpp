@@ -226,8 +226,11 @@ INSTANTIATE_TEST_SUITE_P(
     cell_name);
 
 // ---------------------------------------------------------------------------
-// Runner-level byte identity: the two trial paths (fresh construction vs
-// pooled reset) must yield identical results, traces and metrics.
+// Runner-level byte identity: runner::run() (pooled machines, reset()
+// between trials) must yield the results, traces and metrics of the
+// reference — trial i as run_trial(spec_i, trial_seed(base, i)) on a
+// freshly constructed machine, where spec_i carries the per-trial payload
+// stream payload_seed ^ i.
 // ---------------------------------------------------------------------------
 
 runner::RunSpec fig1_spec() {
@@ -255,34 +258,66 @@ void expect_identical(const runner::TrialResult& a,
   EXPECT_EQ(a.gave_up, b.gave_up);
   EXPECT_EQ(a.tote.buckets(), b.tote.buckets());
   EXPECT_EQ(a.pmu, b.pmu);
+  EXPECT_EQ(a.topdown.total_cycles, b.topdown.total_cycles);
+  EXPECT_EQ(a.topdown.retiring, b.topdown.retiring);
+  EXPECT_EQ(a.topdown.bad_speculation, b.topdown.bad_speculation);
+  EXPECT_EQ(a.topdown.frontend_bound, b.topdown.frontend_bound);
+  EXPECT_EQ(a.topdown.backend_bound, b.topdown.backend_bound);
+  EXPECT_EQ(obs::to_chrome_trace(a.events), obs::to_chrome_trace(b.events));
+}
+
+/// The fresh-construction reference for every trial of `spec`.
+std::vector<runner::TrialResult> fresh_trials(const runner::RunSpec& spec) {
+  std::vector<runner::TrialResult> out;
+  for (int i = 0; i < spec.trials; ++i) {
+    runner::RunSpec spec_i = spec;
+    spec_i.payload_seed ^= static_cast<std::uint64_t>(i);
+    out.push_back(runner::run_trial(
+        spec_i, runner::trial_seed(spec.base_seed,
+                                   static_cast<std::uint64_t>(i))));
+  }
+  return out;
 }
 
 TEST(RunnerResetPath, TrialPathsAreBitIdentical) {
-  runner::RunSpec reused = fig1_spec();
-  reused.reuse_machine = true;
-  runner::RunSpec fresh = fig1_spec();
-  fresh.reuse_machine = false;
-
-  const runner::RunResult a = runner::run(reused, /*jobs=*/1);
-  const runner::RunResult b = runner::run(fresh, /*jobs=*/1);
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    expect_identical(a.trials[i], b.trials[i]);
+  const runner::RunSpec spec = fig1_spec();
+  const runner::RunResult pooled = runner::run(spec, /*jobs=*/1);
+  const std::vector<runner::TrialResult> fresh = fresh_trials(spec);
+  ASSERT_EQ(pooled.trials.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i)
+    expect_identical(pooled.trials[i], fresh[i]);
 }
 
 TEST(RunnerResetPath, TraceAndMetricsBytesAreIdentical) {
   // The Fig. 1 pipeline view and the metrics export are the two observable
-  // byte streams the obs layer produces; both must be indifferent to which
-  // trial path ran.
-  runner::RunSpec reused = fig1_spec();
-  runner::RunSpec fresh = fig1_spec();
-  fresh.reuse_machine = false;
-
-  const runner::RunResult a = runner::run(reused, /*jobs=*/1);
-  const runner::RunResult b = runner::run(fresh, /*jobs=*/1);
-  ASSERT_GT(a.events.size(), 0u);
-  EXPECT_EQ(obs::to_chrome_trace(a.events), obs::to_chrome_trace(b.events));
-  EXPECT_EQ(runner::to_metrics(a).to_json(), runner::to_metrics(b).to_json());
+  // byte streams the obs layer produces; both must be indifferent to
+  // whether a trial's machine was pooled or freshly built. The merged
+  // trace is the per-trial logs in index order, and the PMU / top-down
+  // metrics are the per-trial sums.
+  const runner::RunSpec spec = fig1_spec();
+  const runner::RunResult pooled = runner::run(spec, /*jobs=*/1);
+  obs::EventLog events;
+  uarch::PmuSnapshot pmu{};
+  obs::TopDown topdown;
+  for (const runner::TrialResult& t : fresh_trials(spec)) {
+    events.append(t.events);
+    for (std::size_t e = 0; e < uarch::kNumPmuEvents; ++e) pmu[e] += t.pmu[e];
+    topdown.merge(t.topdown);
+  }
+  ASSERT_GT(pooled.events.size(), 0u);
+  EXPECT_EQ(obs::to_chrome_trace(pooled.events), obs::to_chrome_trace(events));
+  const auto metrics = [](const uarch::PmuSnapshot& p,
+                          const obs::TopDown& td) {
+    obs::MetricsRegistry reg;
+    reg.import_pmu(p, "pmu.");
+    reg.set_counter("topdown.total_cycles", td.total_cycles);
+    reg.set_counter("topdown.retiring", td.retiring);
+    reg.set_counter("topdown.bad_speculation", td.bad_speculation);
+    reg.set_counter("topdown.frontend_bound", td.frontend_bound);
+    reg.set_counter("topdown.backend_bound", td.backend_bound);
+    return reg.to_json();
+  };
+  EXPECT_EQ(metrics(pooled.pmu, pooled.topdown), metrics(pmu, topdown));
 }
 
 TEST(RunnerResetPath, RunTrialOverloadsAgree) {
@@ -320,15 +355,13 @@ TEST(SeedSchedule, MachineOptionsPassSeedThroughVerbatim) {
 }
 
 TEST(SeedSchedule, SameSeedsFreshOrReused) {
-  runner::RunSpec reused = fig1_spec();
-  runner::RunSpec fresh = fig1_spec();
-  fresh.reuse_machine = false;
-  const runner::RunResult a = runner::run(reused, 1);
-  const runner::RunResult b = runner::run(fresh, 1);
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].seed, runner::trial_seed(reused.base_seed, i));
-    EXPECT_EQ(a.trials[i].seed, b.trials[i].seed);
+  const runner::RunSpec spec = fig1_spec();
+  const runner::RunResult pooled = runner::run(spec, 1);
+  const std::vector<runner::TrialResult> fresh = fresh_trials(spec);
+  ASSERT_EQ(pooled.trials.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(pooled.trials[i].seed, runner::trial_seed(spec.base_seed, i));
+    EXPECT_EQ(pooled.trials[i].seed, fresh[i].seed);
   }
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/attacks/registry.h"
+#include "defense/defense.h"
 #include "runner/machine_pool.h"
 #include "runner/runner.h"
 #include "serve/protocol.h"
@@ -120,7 +121,8 @@ TEST(ServeJson, DuplicateKeysKeepTheLastValue) {
 TEST(ServeProtocol, ParsesARunRequestOntoTheSpec) {
   const Request req = parse_request(
       R"({"id":9,"verb":"run","attack":"md","cpu":2,"trials":5,"seed":77,)"
-      R"("noise":"quiet","kpti":true,"fault_plan":"throw@1","retries":2})");
+      R"("noise":"quiet","defenses":["kpti"],"fault_plan":"throw@1",)"
+      R"("retries":2})");
   EXPECT_EQ(req.id, 9u);
   EXPECT_EQ(req.verb, "run");
   EXPECT_EQ(req.spec.attack, "md");
@@ -128,7 +130,7 @@ TEST(ServeProtocol, ParsesARunRequestOntoTheSpec) {
   EXPECT_EQ(req.spec.trials, 5);
   EXPECT_EQ(req.spec.base_seed, 77u);
   EXPECT_EQ(req.spec.noise.name, "quiet");
-  EXPECT_TRUE(req.spec.kernel.kpti);
+  EXPECT_EQ(defense::format_list(req.spec.defenses), "kpti");
   EXPECT_EQ(req.spec.fault_plan, "throw@1");
   EXPECT_EQ(req.spec.retries, 2);
 }
@@ -144,6 +146,16 @@ TEST(ServeProtocol, RejectsSchemaViolations) {
        "unknown field 'trails' in run request"},
       {R"({"id":1,"verb":"run","attack":"cc","fast_forward":false})",
        "unknown field 'fast_forward' in run request"},
+      // "defenses" is the one spelling of a defense and every scheduled
+      // trial runs pooled, so these members name nothing.
+      {R"({"id":1,"verb":"run","attack":"cc","kpti":true})",
+       "unknown field 'kpti' in run request"},
+      {R"({"id":1,"verb":"run","attack":"cc","flare":false})",
+       "unknown field 'flare' in run request"},
+      {R"({"id":1,"verb":"run","attack":"cc","fgkaslr":true})",
+       "unknown field 'fgkaslr' in run request"},
+      {R"({"id":1,"verb":"run","attack":"cc","reuse_machine":true})",
+       "unknown field 'reuse_machine' in run request"},
       {R"({"id":1,"verb":"ping","attack":"cc"})",
        "field 'attack' not allowed with verb 'ping'"},
       {R"({"id":1,"verb":"run","attack":7})", "field 'attack' must be a string"},
