@@ -42,8 +42,8 @@
 #include "defense/defense.h"
 #include "runner/runner.h"
 #include "serve/server.h"
+#include "serve/socket_transport.h"
 #include "serve/transport_loopback.h"
-#include "serve/transport_tcp.h"
 #include "stats/json.h"
 
 using namespace whisper;
@@ -274,17 +274,16 @@ int main(int argc, char** argv) {
     tcp.name = "tcp-127.0.0.1";
     tcp.cell = cells[2].name;
     try {
-      std::vector<std::unique_ptr<serve::TcpTransport>> transports;
+      std::vector<std::unique_ptr<serve::SocketTransport>> transports;
       std::vector<std::unique_ptr<serve::Server>> servers;
       std::vector<std::shared_ptr<client::Endpoint>> eps;
       for (int i = 0; i < 2; ++i) {
-        transports.push_back(
-            std::make_unique<serve::TcpTransport>("127.0.0.1:0"));
+        transports.push_back(std::make_unique<serve::SocketTransport>(
+            serve::parse_address("127.0.0.1:0")));
         servers.push_back(std::make_unique<serve::Server>(
             *transports.back(), serve::ServerOptions{}));
         servers.back()->start();
-        eps.push_back(client::make_endpoint(client::parse_endpoint(
-            "tcp:" + transports.back()->address())));
+        eps.push_back(client::make_endpoint(transports.back()->address()));
       }
       tcp = grade("tcp-127.0.0.1", cells[2], eps, base);
       for (auto& s : servers) s->stop();

@@ -24,7 +24,8 @@
 //
 // `sweep` is the distributed runner: it shards --trials across a pool of
 // whisper_serve daemons (--endpoints takes a comma-separated list of
-// `host:port`, `tcp:host:port`, or `unix:/path` addresses) and merges the
+// `host:port`, `tcp:host:port`, `unix:/path` or `/path` addresses, the
+// grammar of serve::parse_address) and merges the
 // responses by trial index. Endpoint failures are survived, counted, and
 // reassigned — the sweep completes as long as one daemon lives — and the
 // merged stream is byte-identical to a local run of the same spec
@@ -54,6 +55,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,7 @@
 #include "os/machine.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
+#include "serve/socket_transport.h"
 #include "uarch/trace.h"
 
 using namespace whisper;
@@ -451,8 +454,13 @@ int cmd_sweep(const cli::Args& args) {
   bench::apply_fault_args(spec, args);
 
   std::vector<std::shared_ptr<client::Endpoint>> pool;
-  for (const auto& ep : client::parse_endpoint_list(endpoints_csv))
-    pool.push_back(client::make_endpoint(ep));
+  try {
+    for (const serve::Address& a : serve::parse_address_list(endpoints_csv))
+      pool.push_back(client::make_endpoint(a));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "whisper_cli sweep: --endpoints: %s\n", e.what());
+    return 2;
+  }
 
   client::SweepOptions opts;
   opts.chunk_trials = args.integer("--chunk");

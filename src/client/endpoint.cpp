@@ -1,100 +1,22 @@
 #include "client/endpoint.h"
 
-#include <stdexcept>
 #include <utility>
-
-#include "serve/transport_tcp.h"
-#include "serve/transport_unix.h"
 
 namespace whisper::client {
 
-std::string EndpointSpec::canonical() const {
-  return (kind == Kind::kTcp ? "tcp:" : "unix:") + address;
-}
-
-EndpointSpec parse_endpoint(const std::string& text) {
-  EndpointSpec spec;
-  if (text.rfind("tcp:", 0) == 0) {
-    spec.kind = EndpointSpec::Kind::kTcp;
-    spec.address = text.substr(4);
-  } else if (text.rfind("unix:", 0) == 0) {
-    spec.kind = EndpointSpec::Kind::kUnix;
-    spec.address = text.substr(5);
-  } else if (!text.empty() && text[0] == '/') {
-    // A bare absolute path can only be a unix socket.
-    spec.kind = EndpointSpec::Kind::kUnix;
-    spec.address = text;
-  } else {
-    spec.kind = EndpointSpec::Kind::kTcp;
-    spec.address = text;
-  }
-  if (spec.kind == EndpointSpec::Kind::kTcp) {
-    const std::size_t colon = spec.address.rfind(':');
-    if (spec.address.empty() || colon == std::string::npos ||
-        colon + 1 >= spec.address.size())
-      throw std::invalid_argument(
-          "client: endpoint '" + text +
-          "' must be host:port, tcp:host:port, unix:/path, or /path");
-  } else if (spec.address.empty()) {
-    throw std::invalid_argument("client: endpoint '" + text +
-                                "' has an empty socket path");
-  }
-  return spec;
-}
-
-std::vector<EndpointSpec> parse_endpoint_list(const std::string& csv) {
-  std::string stripped;
-  for (const char c : csv)
-    if (c != ' ') stripped += c;
-  if (stripped.empty())
-    throw std::invalid_argument("client: --endpoints list is empty");
-  // An empty element is a typo, not something to skip quietly: the list
-  // order decides which endpoint owns which chunks.
-  std::vector<EndpointSpec> specs;
-  std::string token;
-  const auto flush = [&] {
-    if (token.empty())
-      throw std::invalid_argument(
-          "client: --endpoints has an empty element (doubled or trailing "
-          "comma) in '" +
-          csv + "'");
-    specs.push_back(parse_endpoint(token));
-    token.clear();
-  };
-  for (const char c : stripped) {
-    if (c == ',')
-      flush();
-    else
-      token += c;
-  }
-  flush();
-  return specs;
-}
-
 namespace {
 
-class TcpEndpoint : public Endpoint {
+class SocketEndpoint : public Endpoint {
  public:
-  explicit TcpEndpoint(std::string address) : address_(std::move(address)) {}
+  explicit SocketEndpoint(serve::Address address)
+      : address_(std::move(address)) {}
   std::unique_ptr<serve::Connection> dial(int timeout_ms) override {
-    return serve::TcpTransport::dial(address_, timeout_ms);
+    return serve::dial(address_, timeout_ms);
   }
-  std::string label() const override { return "tcp:" + address_; }
+  std::string label() const override { return address_.canonical(); }
 
  private:
-  std::string address_;
-};
-
-class UnixEndpoint : public Endpoint {
- public:
-  explicit UnixEndpoint(std::string path) : path_(std::move(path)) {}
-  std::unique_ptr<serve::Connection> dial(int timeout_ms) override {
-    return serve::UnixSocketTransport::dial(path_, timeout_ms);
-  }
-  std::string label() const override { return "unix:" + path_; }
-
- private:
-  std::string path_;
+  serve::Address address_;
 };
 
 /// Client side of a loopback connection pair as a serve::Connection.
@@ -142,10 +64,8 @@ class SharedConnection : public serve::Connection {
 
 }  // namespace
 
-std::unique_ptr<Endpoint> make_endpoint(const EndpointSpec& spec) {
-  if (spec.kind == EndpointSpec::Kind::kTcp)
-    return std::make_unique<TcpEndpoint>(spec.address);
-  return std::make_unique<UnixEndpoint>(spec.address);
+std::unique_ptr<Endpoint> make_endpoint(const serve::Address& address) {
+  return std::make_unique<SocketEndpoint>(address);
 }
 
 LoopbackEndpoint::LoopbackEndpoint(serve::LoopbackTransport& transport,

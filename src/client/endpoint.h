@@ -1,7 +1,8 @@
 // Sweep endpoints: where a SweepClient dials daemons.
 //
-// An Endpoint is a dialable address — TCP host:port, unix socket path, or
-// an in-process LoopbackTransport (how the tests and bench/dist_soak run
+// An Endpoint is a dialable address — a serve::Address (TCP host:port or
+// unix socket path; the grammar lives in serve/socket_transport.h) or an
+// in-process LoopbackTransport (how the tests and bench/dist_soak run
 // multi-daemon topologies without sockets). dial() either returns a live
 // serve::Connection or throws serve::DialError; the sweep client counts
 // the throw as `unreachable` and backs off, so a dead box is accounting,
@@ -14,32 +15,15 @@
 // of a flaky race.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "serve/socket_transport.h"
 #include "serve/transport.h"
 #include "serve/transport_loopback.h"
 
 namespace whisper::client {
-
-/// A parsed endpoint address. Grammar (whisper_cli sweep --endpoints):
-///   tcp:host:port | host:port      TCP
-///   unix:/path    | /path          unix-domain socket
-struct EndpointSpec {
-  enum class Kind : std::uint8_t { kTcp, kUnix };
-  Kind kind = Kind::kTcp;
-  std::string address;  // "host:port" or socket path
-  [[nodiscard]] std::string canonical() const;
-};
-
-/// Parse one endpoint (throws std::invalid_argument) or a comma-separated
-/// list of them.
-[[nodiscard]] EndpointSpec parse_endpoint(const std::string& text);
-[[nodiscard]] std::vector<EndpointSpec> parse_endpoint_list(
-    const std::string& csv);
 
 class Endpoint {
  public:
@@ -54,8 +38,9 @@ class Endpoint {
   [[nodiscard]] virtual std::string label() const = 0;
 };
 
-/// A socket endpoint (TCP or unix) from its parsed spec.
-[[nodiscard]] std::unique_ptr<Endpoint> make_endpoint(const EndpointSpec& spec);
+/// A socket endpoint (TCP or unix): dials `address` with serve::dial().
+[[nodiscard]] std::unique_ptr<Endpoint> make_endpoint(
+    const serve::Address& address);
 
 /// In-process endpoint over a LoopbackTransport (which must outlive it).
 /// The returned connections adapt LoopbackClient's channel pair to the

@@ -290,8 +290,11 @@ TrialResult attempt_trial(const RunSpec& spec, const core::AttackInfo& info,
 /// keeps a recovered run bit-identical to an unfailed one. All failure
 /// paths end as TrialError records; nothing escapes.
 ScheduledTrial run_scheduled_trial(const RunSpec& spec, std::size_t i,
-                                   const fault::FaultPlan& plan, bool verify,
+                                   const fault::FaultPlan& plan,
                                    MachinePool* pool) {
+  // Injected corruption is pointless unverified, so an active fault plan
+  // forces the digest check on.
+  const bool verify = spec.verify_reset || !plan.empty();
   RunSpec per_trial = spec;
   // Decorrelate the payload stream per trial alongside the seed.
   per_trial.payload_seed = spec.payload_seed ^ i;
@@ -438,24 +441,7 @@ obs::MetricsRegistry to_metrics(const RunResult& r,
 }
 
 RunResult run(const RunSpec& spec, Executor& ex, bool progress) {
-  validate(spec);  // fail before the fan-out: zero trials spawned
-  const fault::FaultPlan plan = fault::FaultPlan::parse(spec.fault_plan);
-  // Injected corruption is pointless unverified, so an active fault plan
-  // forces the digest check on.
-  const bool verify = spec.verify_reset || !plan.empty();
-  const std::size_t n =
-      spec.trials > 0 ? static_cast<std::size_t>(spec.trials) : 0;
-  Progress meter(spec.label(), n, progress);
-  WallTimer timer;
-  std::vector<ScheduledTrial> trials = ex.map(
-      n,
-      [&spec, &plan, verify](std::size_t i) {
-        return run_scheduled_trial(spec, i, plan, verify);
-      },
-      &meter);
-  const double wall = timer.seconds();
-  meter.finish(wall, ex.jobs());
-  return merge_trials(spec, ex.jobs(), wall, std::move(trials));
+  return run_many({spec}, ex, progress).front();
 }
 
 RunResult run(const RunSpec& spec, int jobs, bool progress) {
@@ -466,13 +452,10 @@ RunResult run(const RunSpec& spec, int jobs, bool progress) {
 std::vector<RunResult> run_many(const std::vector<RunSpec>& specs,
                                 Executor& ex, bool progress) {
   std::vector<fault::FaultPlan> plans;
-  std::vector<char> verify;
   plans.reserve(specs.size());
-  verify.reserve(specs.size());
   for (const RunSpec& spec : specs) {
     validate(spec);  // fail before the fan-out: zero trials spawned
     plans.push_back(fault::FaultPlan::parse(spec.fault_plan));
-    verify.push_back(spec.verify_reset || !plans.back().empty() ? 1 : 0);
   }
   // Flatten every (spec, trial) pair into one task list so a matrix of
   // small cells still fills the pool.
@@ -487,15 +470,16 @@ std::vector<RunResult> run_many(const std::vector<RunSpec>& specs,
       tasks.push_back({s, i});
   }
 
-  Progress meter("runner: " + std::to_string(specs.size()) + " specs",
+  Progress meter(specs.size() == 1
+                     ? specs.front().label()
+                     : "runner: " + std::to_string(specs.size()) + " specs",
                  tasks.size(), progress);
   WallTimer timer;
   std::vector<ScheduledTrial> flat = ex.map(
       tasks.size(),
       [&](std::size_t k) {
         const std::size_t s = tasks[k].spec_idx;
-        return run_scheduled_trial(specs[s], tasks[k].trial_idx, plans[s],
-                                   verify[s] != 0);
+        return run_scheduled_trial(specs[s], tasks[k].trial_idx, plans[s]);
       },
       &meter);
   const double wall = timer.seconds();

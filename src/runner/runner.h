@@ -294,9 +294,10 @@ struct ScheduledTrial {
 
 /// One trial of `spec` exactly as run()/run_many() schedule it: machine
 /// seed and payload stream both derived from the trial `index`, fault
-/// points fired per `plan`, retries replaying the same coordinates, digest
-/// verification (`verify`) quarantining drifted machines. All failure
-/// paths end as TrialError records; nothing escapes.
+/// points fired per `plan` (FaultPlan::parse(spec.fault_plan)), retries
+/// replaying the same coordinates, and — when spec.verify_reset is set or
+/// `plan` is not empty — the post-reset digest check quarantining drifted
+/// machines. All failure paths end as TrialError records; nothing escapes.
 ///
 /// `pool` selects where pooled machines come from: nullptr uses the
 /// calling thread's private MachinePool::this_thread() (the runner's
@@ -307,12 +308,11 @@ struct ScheduledTrial {
 [[nodiscard]] ScheduledTrial run_scheduled_trial(const RunSpec& spec,
                                                  std::size_t index,
                                                  const fault::FaultPlan& plan,
-                                                 bool verify,
                                                  MachinePool* pool = nullptr);
 
-/// Fan spec.trials out over the executor and merge. With `progress`,
-/// per-trial completion lines go to stderr. Unknown attack names throw
-/// std::invalid_argument before any trial is scheduled.
+/// Fan spec.trials out over the executor and merge: run_many({spec}).
+/// With `progress`, per-trial completion lines go to stderr. Unknown
+/// attack names throw std::invalid_argument before any trial is scheduled.
 [[nodiscard]] RunResult run(const RunSpec& spec, Executor& ex,
                             bool progress = false);
 /// Convenience overload: a private Executor with `jobs` workers.
@@ -321,7 +321,8 @@ struct ScheduledTrial {
 
 /// Run several specs through one pool: every (spec, trial) pair becomes one
 /// task, so a matrix of single-trial cells still saturates the workers.
-/// Results come back in spec order, each merged exactly as run() merges.
+/// Results come back in spec order. The progress label is the spec's
+/// label() when there is exactly one spec.
 [[nodiscard]] std::vector<RunResult> run_many(
     const std::vector<RunSpec>& specs, Executor& ex, bool progress = false);
 

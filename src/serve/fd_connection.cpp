@@ -68,7 +68,10 @@ FdConnection::FdConnection(int fd, std::string peer)
   ignore_sigpipe();
 }
 
-FdConnection::~FdConnection() { close(); }
+FdConnection::~FdConnection() {
+  close();
+  ::close(fd_);
+}
 
 ReadStatus FdConnection::fill(int timeout_ms) {
   if (timeout_ms >= 0) {
@@ -146,7 +149,7 @@ ReadStatus FdConnection::read_line_for(std::string& out, int timeout_ms) {
 bool FdConnection::write_line(const std::string& line) {
   // One lock per line keeps concurrent workers' lines from interleaving.
   std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ < 0) return false;
+  if (closed_.load()) return false;
   std::string framed = line;
   framed.push_back('\n');
   std::size_t off = 0;
@@ -163,12 +166,11 @@ bool FdConnection::write_line(const std::string& line) {
 }
 
 void FdConnection::close() {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // ::shutdown() ends both directions: a reader parked in recv() sees EOF
+  // and later sends fail. The descriptor itself stays open until the
+  // destructor, so no other thread can be inside recv()/send() on it, or
+  // on a reused descriptor number, when it is closed.
+  if (!closed_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::string FdConnection::peer() const { return peer_; }

@@ -1,9 +1,6 @@
-// File-descriptor Connection: the line framing shared by the unix-domain
-// and TCP transports.
-//
-// Extracted from transport_unix.cpp when TcpTransport arrived so both
-// socket transports (and their dial() client sides) share one hardened
-// read/write path:
+// File-descriptor Connection: the line framing of every socket connection,
+// TCP or unix-domain, accepted by SocketTransport or opened by dial()
+// (socket_transport.h). One hardened read/write path:
 //
 //   * read_line() buffers recv() chunks and serves newline-framed lines;
 //     a final unterminated fragment at EOF still counts as a line.
@@ -20,7 +17,7 @@
 //     (MSG_NOSIGNAL on Linux, per-process SIG_IGN where the flag is
 //     missing).
 //
-// POSIX-only, like the transports that use it.
+// POSIX-only, like the socket transport that uses it.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +28,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define WHISPER_HAVE_FD_CONNECTION 1
 
+#include <atomic>
 #include <mutex>
 
 namespace whisper::serve {
@@ -43,8 +41,8 @@ class FdConnection : public Connection {
   /// parse_request() with an attributable error line.
   static constexpr std::size_t kMaxLineBytes = 256 * 1024;
 
-  /// Takes ownership of `fd` (closed on destruction). `peer` is the label
-  /// peer() reports.
+  /// Takes ownership of `fd` (closed on destruction; close() only shuts
+  /// it down). `peer` is the label peer() reports.
   FdConnection(int fd, std::string peer);
   ~FdConnection() override;
 
@@ -59,14 +57,15 @@ class FdConnection : public Connection {
   /// kLine here means "made progress, loop again".
   ReadStatus fill(int timeout_ms);
 
-  int fd_;
+  const int fd_;  // closed only by the destructor
+  std::atomic<bool> closed_{false};
   std::string peer_;
   std::string buf_;
   bool discarding_ = false;  // dropping an oversized line's tail until '\n'
   std::mutex write_mu_;
 };
 
-/// Nonblocking connect with a bounded wait, shared by both dialers:
+/// Nonblocking connect with a bounded wait, behind serve::dial():
 /// create the socket, connect, poll for writability up to `timeout_ms`
 /// (< 0 = block), check SO_ERROR, and return the connected fd with
 /// blocking mode restored. Throws DialError (closing the fd) on refusal,

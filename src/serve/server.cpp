@@ -217,7 +217,6 @@ void Server::worker_loop(int worker) {
 void Server::execute_run(const RunJob& job) {
   const runner::RunSpec& spec = job.spec;
   const fault::FaultPlan plan = fault::FaultPlan::parse(spec.fault_plan);
-  const bool verify = spec.verify_reset || !spec.fault_plan.empty();
 
   // Trials run sequentially inside this worker, in index order, through
   // the exact scheduled-trial path run() fans out — same seed schedule,
@@ -235,7 +234,7 @@ void Server::execute_run(const RunJob& job) {
   const std::size_t first = static_cast<std::size_t>(job.trial_first);
   for (std::size_t i = first; i < first + n; ++i) {
     runner::ScheduledTrial t =
-        runner::run_scheduled_trial(spec, i, plan, verify, &pool_);
+        runner::run_scheduled_trial(spec, i, plan, &pool_);
     job.conn->write_line(response_trial(job.id, i, t));
     count("serve.trials");
     runner::tally_trial(merged, t.outcome, t.result);

@@ -2,20 +2,21 @@
 //
 // The serving stack is transport-agnostic: the protocol is newline-framed
 // JSON in both directions (src/serve/protocol.h), so a transport only has
-// to move lines. Three implementations:
+// to move lines. Two implementations:
 //
 //   * LoopbackTransport (transport_loopback.h) — in-process queue pairs;
-//     what the tests and bench/serve_soak drive, no sockets, no fds.
-//   * UnixSocketTransport (transport_unix.h) — a SOCK_STREAM unix-domain
-//     socket; what examples/whisper_serve binds by default.
-//   * TcpTransport (transport_tcp.h) — TCP on host:port; what turns one
-//     daemon into one endpoint of a sweep pool (whisper_serve --listen,
-//     whisper_cli sweep --endpoints).
+//     what the tests, bench/serve_soak and perfbench drive, no sockets, no
+//     fds.
+//   * SocketTransport (socket_transport.h) — a SOCK_STREAM socket on a TCP
+//     host:port or a unix-domain path, one address grammar for both; what
+//     examples/whisper_serve listens on (--endpoint) and what makes one
+//     daemon an endpoint of a sweep pool (whisper_cli sweep --endpoints).
 //
 // Threading contract:
 //   * accept() is called from exactly one thread (the server's accept
 //     loop); it blocks until a client connects and returns nullptr once
-//     shutdown() has been called.
+//     shutdown() has been called. shutdown() may come from any thread,
+//     while accept() is parked.
 //   * Connection::read_line() / read_line_for() are called from exactly
 //     one thread per connection (the server's per-connection reader, or
 //     the sweep client's per-endpoint worker).
@@ -64,7 +65,8 @@ class Connection {
   /// read_line(). Idempotent.
   virtual void close() = 0;
 
-  /// Short peer label for logs and metrics ("loopback:2", "unix:7").
+  /// Short peer label for logs and metrics ("loopback:2", "unix:7",
+  /// "dial:tcp:127.0.0.1:7777").
   [[nodiscard]] virtual std::string peer() const = 0;
 };
 

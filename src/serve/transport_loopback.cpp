@@ -38,30 +38,12 @@ ReadStatus LineChannel::pop_for(std::string& out, int timeout_ms) {
   return ReadStatus::kLine;
 }
 
-bool LineChannel::try_pop(std::string& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (lines_.empty()) return false;
-  out = std::move(lines_.front());
-  lines_.pop_front();
-  return true;
-}
-
 void LineChannel::close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
   }
   cv_.notify_all();
-}
-
-bool LineChannel::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
-std::size_t LineChannel::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lines_.size();
 }
 
 bool LoopbackClient::send(const std::string& line) {
@@ -72,10 +54,6 @@ bool LoopbackClient::recv(std::string& out) { return to_client_->pop(out); }
 
 ReadStatus LoopbackClient::recv_for(std::string& out, int timeout_ms) {
   return to_client_->pop_for(out, timeout_ms);
-}
-
-bool LoopbackClient::try_recv(std::string& out) {
-  return to_client_->try_pop(out);
 }
 
 void LoopbackClient::close_send() { to_server_->close(); }

@@ -39,15 +39,10 @@ class LineChannel {
   /// drain-then-EOF close semantics; kTimeout leaves the queue untouched.
   ReadStatus pop_for(std::string& out, int timeout_ms);
 
-  /// Non-blocking pop for drains; same close semantics as pop().
-  bool try_pop(std::string& out);
-
   void close();
-  [[nodiscard]] bool closed() const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::string> lines_;
   bool closed_ = false;
@@ -67,9 +62,6 @@ class LoopbackClient {
   /// Timed recv — the loopback spelling of FdConnection::read_line_for(),
   /// so the sweep client's deadlines work identically on both transports.
   ReadStatus recv_for(std::string& out, int timeout_ms);
-
-  /// Non-blocking recv.
-  bool try_recv(std::string& out);
 
   /// Half-close: no more requests, but responses still drain.
   void close_send();

@@ -128,7 +128,7 @@ inline runner::RunSpec attack_spec(const std::string& attack,
 
 inline std::uint64_t trial_digest(const runner::RunSpec& spec) {
   const runner::ScheduledTrial st =
-      runner::run_scheduled_trial(spec, 0, fault::FaultPlan{}, false);
+      runner::run_scheduled_trial(spec, 0, fault::FaultPlan{});
   Fnv fnv;
   fnv.str(serve::response_trial(0, 0, st));
   fnv.pmu(st.result.pmu);

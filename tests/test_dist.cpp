@@ -1,7 +1,7 @@
-// Tests for the distributed sweep stack: endpoint grammar, the hardened
-// fd connection shared by the socket transports, typed dial failures, the
-// transport fault kinds, the client wire helpers, and the headline
-// contract (invariant 13, docs/ARCHITECTURE.md):
+// Tests for the distributed sweep stack: the address grammar, the hardened
+// fd connection of the socket transport, its listener lifecycle, typed
+// dial failures, the transport fault kinds, the client wire helpers, and
+// the headline contract (invariant 13, docs/ARCHITECTURE.md):
 //
 //   a SweepClient merging one RunSpec off N whisper_serve endpoints
 //   produces bytes identical to a local single-process runner::run — for
@@ -30,15 +30,18 @@
 #include "serve/fd_connection.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/socket_transport.h"
 #include "serve/transport.h"
 #include "serve/transport_loopback.h"
-#include "serve/transport_tcp.h"
-#include "serve/transport_unix.h"
 #include "stats/json.h"
 
 #if WHISPER_HAVE_FD_CONNECTION
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <cstring>
 #endif
 
 namespace whisper::client {
@@ -47,33 +50,50 @@ namespace {
 // ---------------------------------------------------------------------------
 // Endpoint grammar.
 
+using serve::Address;
+using serve::parse_address;
+using serve::parse_address_list;
+
 TEST(DistEndpoint, ParsesEveryAddressForm) {
-  EXPECT_EQ(parse_endpoint("tcp:127.0.0.1:7777").kind,
-            EndpointSpec::Kind::kTcp);
-  EXPECT_EQ(parse_endpoint("tcp:127.0.0.1:7777").address, "127.0.0.1:7777");
-  EXPECT_EQ(parse_endpoint("box:9").kind, EndpointSpec::Kind::kTcp);
-  EXPECT_EQ(parse_endpoint("unix:/tmp/w.sock").kind,
-            EndpointSpec::Kind::kUnix);
-  EXPECT_EQ(parse_endpoint("unix:/tmp/w.sock").address, "/tmp/w.sock");
-  EXPECT_EQ(parse_endpoint("/tmp/w.sock").kind, EndpointSpec::Kind::kUnix);
-  EXPECT_EQ(parse_endpoint("tcp:host:1").canonical(), "tcp:host:1");
-  EXPECT_EQ(parse_endpoint("unix:/a").canonical(), "unix:/a");
+  const Address tcp = parse_address("tcp:127.0.0.1:7777");
+  EXPECT_EQ(tcp.kind(), Address::Kind::kTcp);
+  EXPECT_EQ(tcp.host(), "127.0.0.1");
+  EXPECT_EQ(tcp.port(), 7777);
+  EXPECT_EQ(parse_address("box:9"), parse_address("tcp:box:9"));
+  EXPECT_EQ(parse_address(":0").host(), "");  // every interface / loopback
+  const Address unix_path = parse_address("unix:/tmp/w.sock");
+  EXPECT_EQ(unix_path.kind(), Address::Kind::kUnix);
+  EXPECT_EQ(unix_path.path(), "/tmp/w.sock");
+  EXPECT_EQ(parse_address("/tmp/w.sock"), unix_path);
+  EXPECT_EQ(parse_address("tcp:host:1").canonical(), "tcp:host:1");
+  EXPECT_EQ(parse_address("host:007").canonical(), "tcp:host:7");
+  EXPECT_EQ(parse_address("unix:/a").canonical(), "unix:/a");
+  EXPECT_EQ(parse_address("a:65535").port(), 65535);
+  // sun_path holds 108 bytes with the NUL: 107 characters is the longest.
+  EXPECT_EQ(parse_address("/" + std::string(106, 'p')).path().size(), 107u);
 }
 
 TEST(DistEndpoint, RejectsMalformedAddresses) {
-  EXPECT_THROW((void)parse_endpoint(""), std::invalid_argument);
-  EXPECT_THROW((void)parse_endpoint("justahost"), std::invalid_argument);
-  EXPECT_THROW((void)parse_endpoint("unix:"), std::invalid_argument);
-  EXPECT_THROW((void)parse_endpoint_list("a:1,,b:2"), std::invalid_argument);
-  EXPECT_THROW((void)parse_endpoint_list(""), std::invalid_argument);
+  for (const std::string bad :
+       {"", "justahost", "unix:", "host:", "box:abc", "box:99999", "box:65536",
+        "box:-1", "box:1x", "tcp:/path", "box:99999999999999999999999"})
+    EXPECT_THROW((void)parse_address(bad), std::invalid_argument) << bad;
+  EXPECT_THROW((void)parse_address("/" + std::string(107, 'p')),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_address("unix:/" + std::string(119, 'p')),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_address_list("a:1,,b:2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_address_list("a:1,"), std::invalid_argument);
+  EXPECT_THROW((void)parse_address_list(""), std::invalid_argument);
 }
 
 TEST(DistEndpoint, ParsesCommaSeparatedList) {
-  const auto list = parse_endpoint_list("a:1, unix:/s, tcp:b:2");
+  const auto list = parse_address_list("a:1, unix:/s, tcp:b:2");
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list[0].canonical(), "tcp:a:1");
   EXPECT_EQ(list[1].canonical(), "unix:/s");
   EXPECT_EQ(list[2].canonical(), "tcp:b:2");
+  EXPECT_EQ(make_endpoint(list[1])->label(), "unix:/s");
 }
 
 #if WHISPER_HAVE_FD_CONNECTION
@@ -146,17 +166,35 @@ TEST(DistFdConnection, TruncatesOversizedLineAndResynchronizes) {
   writer.join();
 }
 
+/// A socket path private to this process: whisper_tests and
+/// whisper_san_tests run the same cases side by side under ctest -j.
+std::string temp_socket_path(const std::string& name) {
+  return "/tmp/whisper_test_" + name + "." + std::to_string(::getpid()) +
+         ".sock";
+}
+
+/// A TCP listener on an ephemeral loopback port, or nullptr where the
+/// platform or sandbox has no TCP (the caller skips).
+std::unique_ptr<serve::SocketTransport> tcp_listener() {
+  try {
+    return std::make_unique<serve::SocketTransport>(
+        parse_address("127.0.0.1:0"));
+  } catch (const std::exception&) {
+    return nullptr;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Request cap (satellite: a 64KiB+ request must be refused with a
-// well-formed, attributable error line — and the connection must live on).
+// Request cap: a 64KiB+ request must be refused with a well-formed,
+// attributable error line — and the connection must live on.
 
 TEST(DistServe, OversizedRequestRefusedAndConnectionSurvives) {
-  const std::string path = "/tmp/whisper_test_oversize.sock";
-  serve::UnixSocketTransport transport(path);
+  serve::SocketTransport transport(
+      parse_address("unix:" + temp_socket_path("oversize")));
   serve::Server server(transport, serve::ServerOptions{});
   server.start();
 
-  auto conn = serve::UnixSocketTransport::dial(path, 2000);
+  auto conn = serve::dial(transport.address(), 2000);
   std::string padding(serve::kMaxRequestBytes, 'p');
   const std::string request =
       R"({"id":9,"verb":"ping","pad":")" + padding + R"("})";
@@ -181,39 +219,79 @@ TEST(DistServe, OversizedRequestRefusedAndConnectionSurvives) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed dial failures (satellite: a dead box is a countable error, not a
-// hang or an untyped crash).
+// Listener lifecycle: Server::stop() shuts the transport down from the
+// stopping thread while the accept thread is parked in accept(). The
+// listening descriptor stays open until the destructor, so no cycle races
+// on it (whisper_san_tests and the tsan preset run this), and every cycle
+// leaves no unix socket file behind.
+
+TEST(DistSocketTransport, RestartsWhileAcceptIsParked) {
+  const std::string path = temp_socket_path("restart");
+  for (const std::string& text : {std::string("127.0.0.1:0"), "unix:" + path})
+    for (int cycle = 0; cycle < 25; ++cycle) {
+      const auto transport =
+          text == "127.0.0.1:0"
+              ? tcp_listener()
+              : std::make_unique<serve::SocketTransport>(parse_address(text));
+      if (!transport) GTEST_SKIP() << "TCP unavailable";
+      serve::Server server(*transport, serve::ServerOptions{});
+      server.start();
+      // One round trip proves the accept loop ran; after it the loop is
+      // back in accept(), which the sleep lets it reach.
+      auto conn = serve::dial(transport->address(), 2000);
+      ASSERT_TRUE(conn->write_line(R"({"id":1,"verb":"ping"})"));
+      std::string line;
+      ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
+      EXPECT_EQ(line, serve::response_pong(1));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      server.stop();
+      transport->shutdown();  // idempotent
+      if (transport->address().kind() == serve::Address::Kind::kUnix) {
+        EXPECT_NE(::access(path.c_str(), F_OK), 0) << "cycle " << cycle;
+        EXPECT_THROW((void)serve::dial(transport->address(), 500),
+                     serve::DialError);
+      }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed dial failures: a dead box is a countable error, not a hang or an
+// untyped crash.
 
 TEST(DistUnixDial, NonexistentPathThrowsDialError) {
   EXPECT_THROW(
-      (void)serve::UnixSocketTransport::dial(
-          "/tmp/whisper_test_definitely_missing.sock", 500),
+      (void)serve::dial(
+          parse_address("/tmp/whisper_test_definitely_missing.sock"), 500),
       serve::DialError);
 }
 
 TEST(DistUnixDial, StaleSocketFileThrowsDialError) {
-  // A socket file whose daemon is gone: bind it, then close the listener
-  // without unlinking. connect() must refuse, typed.
-  const std::string path = "/tmp/whisper_test_stale.sock";
-  {
-    serve::UnixSocketTransport doomed(path);
-    doomed.shutdown();
-  }  // destructor closes the listen fd; the path may linger
-  EXPECT_THROW((void)serve::UnixSocketTransport::dial(path, 500),
-               serve::DialError);
+  // A socket file whose daemon is gone: bind it, then close the socket
+  // without unlinking, as a crashed daemon would. connect() must refuse,
+  // typed.
+  const std::string path = temp_socket_path("stale");
+  const Address address = parse_address(path);
+  ::unlink(path.c_str());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un un{};
+  un.sun_family = AF_UNIX;
+  std::memcpy(un.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&un), sizeof un), 0);
+  ::close(fd);
+  ASSERT_EQ(::access(path.c_str(), F_OK), 0);  // the stale file is there
+  EXPECT_THROW((void)serve::dial(address, 500), serve::DialError);
+  ::unlink(path.c_str());
 }
 
 TEST(DistTcp, ListenDialRoundTrip) {
-  std::unique_ptr<serve::TcpTransport> transport;
-  try {
-    transport = std::make_unique<serve::TcpTransport>("127.0.0.1:0");
-  } catch (const std::exception& e) {
-    GTEST_SKIP() << "TCP unavailable: " << e.what();
-  }
-  EXPECT_NE(transport->port(), 0);  // ephemeral port was resolved
+  const auto transport = tcp_listener();
+  if (!transport) GTEST_SKIP() << "TCP unavailable";
+  EXPECT_NE(transport->address().port(), 0);  // ephemeral port was resolved
+  EXPECT_EQ(transport->address().host(), "127.0.0.1");
   serve::Server server(*transport, serve::ServerOptions{});
   server.start();
-  auto conn = serve::TcpTransport::dial(transport->address(), 2000);
+  auto conn = serve::dial(transport->address(), 2000);
   ASSERT_TRUE(conn->write_line(R"({"id":3,"verb":"ping"})"));
   std::string line;
   ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
@@ -223,22 +301,18 @@ TEST(DistTcp, ListenDialRoundTrip) {
 }
 
 TEST(DistTcp, DialDeadPortThrowsDialError) {
-  int port = 0;
-  try {
-    serve::TcpTransport probe("127.0.0.1:0");
-    port = probe.port();
-    probe.shutdown();
-  } catch (const std::exception& e) {
-    GTEST_SKIP() << "TCP unavailable: " << e.what();
-  }
-  EXPECT_THROW((void)serve::TcpTransport::dial(
-                   "127.0.0.1:" + std::to_string(port), 500),
-               serve::DialError);
+  Address dead;
+  {
+    const auto probe = tcp_listener();
+    if (!probe) GTEST_SKIP() << "TCP unavailable";
+    dead = probe->address();
+  }  // destroyed: the port no longer listens
+  EXPECT_THROW((void)serve::dial(dead, 500), serve::DialError);
 }
 
 TEST(DistTcp, UnresolvableHostThrowsDialError) {
   EXPECT_THROW(
-      (void)serve::TcpTransport::dial("host.invalid.whisper:1", 500),
+      (void)serve::dial(parse_address("host.invalid.whisper:1"), 500),
       serve::DialError);
 }
 #endif  // WHISPER_HAVE_FD_CONNECTION
@@ -583,22 +657,20 @@ TEST(DistSweep, TcpEndpointsAreByteIdenticalToo) {
   const runner::RunSpec spec = cheap_spec(6);
   const runner::RunResult local = runner::run(spec, 1);
 
-  std::vector<std::unique_ptr<serve::TcpTransport>> transports;
+  std::vector<std::unique_ptr<serve::SocketTransport>> transports;
   std::vector<std::unique_ptr<serve::Server>> servers;
   std::vector<std::shared_ptr<Endpoint>> endpoints;
-  try {
-    for (int i = 0; i < 2; ++i) {
-      transports.push_back(
-          std::make_unique<serve::TcpTransport>("127.0.0.1:0"));
-      servers.push_back(std::make_unique<serve::Server>(
-          *transports.back(), serve::ServerOptions{}));
-      servers.back()->start();
-      endpoints.push_back(make_endpoint(
-          parse_endpoint("tcp:" + transports.back()->address())));
+  for (int i = 0; i < 2; ++i) {
+    transports.push_back(tcp_listener());
+    if (!transports.back()) {
+      for (auto& s : servers) s->stop();
+      GTEST_SKIP() << "TCP unavailable";
     }
-  } catch (const std::exception& e) {
-    for (auto& s : servers) s->stop();
-    GTEST_SKIP() << "TCP unavailable: " << e.what();
+    servers.push_back(std::make_unique<serve::Server>(
+        *transports.back(), serve::ServerOptions{}));
+    servers.back()->start();
+    endpoints.push_back(make_endpoint(
+        parse_address(transports.back()->address().canonical())));
   }
   SweepClient sweeper(fast_opts());
   const SweepResult r = sweeper.sweep(spec, endpoints);

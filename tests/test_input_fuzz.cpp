@@ -3,7 +3,7 @@
 // lines, sweep-client responses, self-validated trajectories), and the
 // three small grammars behind flags and wire members — fault plans
 // (fault::FaultPlan::parse), defense stacks (defense::parse_list) and
-// endpoint lists (client::parse_endpoint_list). Each case must end in a
+// address lists (serve::parse_address_list). Each case must end in a
 // clean parse, which round-trips through the grammar's formatter, or the
 // parser's typed error — never a crash, a hang, or any other exception.
 // Part of whisper_san_tests, so ASan and UBSan watch every input; the
@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "cli/flags.h"
-#include "client/endpoint.h"
 #include "defense/defense.h"
 #include "fault/fault.h"
+#include "serve/socket_transport.h"
 #include "stats/json.h"
 #include "stats/rng.h"
 
@@ -305,9 +305,12 @@ TEST(InputFuzz, DefenseListParsesOrRaisesInvalidArgument) {
 }
 
 TEST(InputFuzz, EndpointListParsesOrRaisesInvalidArgument) {
+  const std::string long_path = "/" + std::string(119, 'p');
   const std::vector<std::string> endpoints = {
       "tcp:127.0.0.1:7777", "localhost:9", "unix:/tmp/w.sock", "/tmp/w.sock",
-      "tcp:", "unix:", "host", "host:", ":1", "tcp:tcp:1:2", " a:1 ", ""};
+      "tcp:", "unix:", "host", "host:", ":1", "tcp:tcp:1:2", " a:1 ", "",
+      "box:abc", "box:65535", "box:65536", "box:99999", "unix:" + long_path,
+      long_path};
   stats::Xoshiro256 rng(0xe4d901);
   int parsed = 0, refused = 0;
   for (int i = 0; i < kCases; ++i) {
@@ -318,27 +321,22 @@ TEST(InputFuzz, EndpointListParsesOrRaisesInvalidArgument) {
     }
     if (rng.next_below(4) == 0) csv = mutate(rng, csv);
     try {
-      const std::vector<client::EndpointSpec> specs =
-          client::parse_endpoint_list(csv);
-      ASSERT_FALSE(specs.empty()) << csv;
-      // canonical() is the formatter: it parses back to the same spec,
-      // one endpoint at a time and as a list.
+      const std::vector<serve::Address> addresses =
+          serve::parse_address_list(csv);
+      ASSERT_FALSE(addresses.empty()) << csv;
+      // canonical() is the formatter: it parses back to the same address,
+      // one at a time and as a list.
       std::string joined;
-      for (const client::EndpointSpec& e : specs) {
-        const client::EndpointSpec again =
-            client::parse_endpoint(e.canonical());
-        EXPECT_EQ(again.kind, e.kind) << csv;
-        EXPECT_EQ(again.address, e.address) << csv;
-        joined += (joined.empty() ? "" : ",") + e.canonical();
+      for (const serve::Address& a : addresses) {
+        EXPECT_EQ(serve::parse_address(a.canonical()), a) << csv;
+        if (a.kind() == serve::Address::Kind::kUnix)
+          EXPECT_LT(a.path().size(), 108u) << csv;
+        joined += (joined.empty() ? "" : ",") + a.canonical();
       }
-      const std::vector<client::EndpointSpec> relisted =
-          client::parse_endpoint_list(joined);
-      ASSERT_EQ(relisted.size(), specs.size()) << csv;
-      for (std::size_t k = 0; k < specs.size(); ++k)
-        EXPECT_EQ(relisted[k].canonical(), specs[k].canonical()) << csv;
+      EXPECT_EQ(serve::parse_address_list(joined), addresses) << csv;
       ++parsed;
     } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("client: ", 0), 0u) << csv;
+      EXPECT_EQ(std::string(e.what()).rfind("serve: ", 0), 0u) << csv;
       ++refused;
     }
   }
