@@ -9,7 +9,9 @@
 // a malformed or out-of-range number (--cpu is 0..4, the serve wire's
 // range) or an unknown --attack or --noise exits 2 naming the flag and
 // prints the subcommand's flag table, so a typo or a retired flag cannot
-// silently run the defaults.
+// silently run the defaults. `whisper_cli --help` lists the commands and
+// `whisper_cli <command> --help` prints the flag table, both on stdout with
+// exit 0.
 //
 // --defense is repeatable and takes a defense::registry() spec,
 // `name[:key=value]...` — e.g. `--defense kpti --defense window:depth=8`.
@@ -608,11 +610,13 @@ int main(int argc, char** argv) try {
                                       argv, /*first=*/2));
     names += (names.empty() ? "" : "|") + std::string(c.name);
   }
-  std::fprintf(stderr,
-               "usage: whisper_cli <%s> [flags]\n  see the header comment "
-               "of examples/whisper_cli.cpp\n",
+  // `whisper_cli --help` asks for this text; anything else is bad input.
+  const bool help = cmd == "--help";
+  std::fprintf(help ? stdout : stderr,
+               "usage: whisper_cli <%s> [flags]\n  whisper_cli <command> "
+               "--help lists a command's flags\n",
                names.c_str());
-  return 2;
+  return help ? 0 : 2;
 } catch (const std::exception& e) {
   // Spec/plan validation errors (bad --defense spec, malformed
   // --fault-plan, ...) should read as a usage message, not a terminate()

@@ -44,14 +44,14 @@ namespace {
 
 const cli::Table& flags() {
   static const cli::Table table = {
-      {.name = "--help", .help = "print this text and exit"},
       {.name = "--selftest", .help = "loopback round-trip, no socket"},
       {.name = "--endpoint", .kind = cli::Kind::String,
        .def = "unix:/tmp/whisper_serve.sock",
        .help = "address to listen on, or to dial with --request/--shutdown: "
                "unix:/path, /path, tcp:host:port or host:port"},
       {.name = "--request", .kind = cli::Kind::String,
-       .help = "send one JSON request line, print the response stream"},
+       .help = "send one JSON request line (verbs run, ping, list, metrics, "
+               "shutdown; src/serve/protocol.h), print the response stream"},
       {.name = "--shutdown", .help = "ask a running daemon to exit"},
       {.name = "--jobs", .kind = cli::Kind::Int, .def = "1",
        .help = "worker threads", .min = 1},
@@ -122,13 +122,6 @@ int selftest() {
 int main(int argc, char** argv) {
   const cli::Args args = cli::parse_or_exit("whisper_serve", flags(), argc,
                                             argv);
-  if (args.has("--help")) {
-    std::printf("%s\nProtocol: one JSON object per line; verbs run, ping, "
-                "list, metrics,\nshutdown (src/serve/protocol.h; "
-                "docs/REPRODUCING.md \"Serving\").\n",
-                cli::usage("whisper_serve", flags()).c_str());
-    return 0;
-  }
   if (args.has("--selftest")) return selftest();
 
   serve::Address endpoint;

@@ -116,6 +116,9 @@ void check(const Flag& f, std::string_view text) {
   }
 }
 
+/// Accepted by every table, declared by none.
+const Flag kHelp{.name = "--help", .help = "print this text and exit"};
+
 /// The value shape usage() prints after a flag, indexed by Kind.
 constexpr const char* kMetavar[] = {"", " N", " N", " X", " TEXT",
                                     " A,B,...", " WORD"};
@@ -180,6 +183,8 @@ std::vector<std::string> Args::list(std::string_view name) const {
 Args parse(const Table& table, int argc, const char* const* argv, int first) {
   Args out;
   for (const Flag& f : table) {
+    if (f.name == kHelp.name)
+      throw std::logic_error("cli: " + f.name + " is built in");
     for (const Args::Slot& s : out.slots_)
       if (s.flag.name == f.name)
         throw std::logic_error("cli: " + f.name + " declared twice");
@@ -208,6 +213,10 @@ Args parse(const Table& table, int argc, const char* const* argv, int first) {
       slot->values.emplace_back(tok);
       continue;
     }
+    if (tok == kHelp.name) {
+      out.help_ = true;
+      return out;
+    }
     for (Args::Slot& s : out.slots_)
       if (!s.flag.positional() && s.flag.name == tok) slot = &s;
     if (slot == nullptr) throw UsageError("unknown flag " + quoted(tok));
@@ -226,19 +235,16 @@ Args parse(const Table& table, int argc, const char* const* argv, int first) {
   return out;
 }
 
-std::string usage(std::string_view program, const Table& table) {
+std::string usage(std::string_view program, const Table& declared) {
+  Table table = declared;
+  table.push_back(kHelp);
   const auto left = [](const Flag& f) {
     if (f.positional()) return f.name;
     return f.name + kMetavar[static_cast<int>(f.kind)];
   };
-  std::string out = "usage: " + std::string(program);
+  std::string out = "usage: " + std::string(program) + " [flags]";
   std::size_t width = 0;
-  bool flags = false;
-  for (const Flag& f : table) {
-    flags = flags || !f.positional();
-    width = std::max(width, left(f).size());
-  }
-  if (flags) out += " [flags]";
+  for (const Flag& f : table) width = std::max(width, left(f).size());
   for (const Flag& f : table)
     if (f.positional()) out += " [" + f.name + "]";
   out += "\n";
@@ -261,7 +267,12 @@ std::string usage(std::string_view program, const Table& table) {
 Args parse_or_exit(std::string_view program, const Table& table, int argc,
                    const char* const* argv, int first) {
   try {
-    return parse(table, argc, argv, first);
+    Args args = parse(table, argc, argv, first);
+    if (args.help()) {
+      std::fputs(usage(program, table).c_str(), stdout);
+      std::exit(0);
+    }
+    return args;
   } catch (const UsageError& e) {
     const std::string name(program);
     std::fprintf(stderr, "%s: %s\n%s", name.c_str(), e.what(),

@@ -6,7 +6,8 @@
 // list item, a second copy of a single-use flag or a stray operand throws
 // UsageError with a message that names the flag. parse_or_exit() turns
 // that into `<program>: <message>`, a usage text generated from the table,
-// and exit status 2.
+// and exit status 2. Every table also accepts `--help`, which no table
+// declares: parse_or_exit() prints the usage text on stdout and exits 0.
 //
 //   const cli::Args args = cli::parse_or_exit("noise_sweep", {
 //       {.name = "--steps", .kind = cli::Kind::Int, .def = "4",
@@ -90,6 +91,8 @@ class Args {
   [[nodiscard]] std::string str(std::string_view name) const;
   /// List: the items. Repeatable String: every value in order.
   [[nodiscard]] std::vector<std::string> list(std::string_view name) const;
+  /// `--help` was given; parsing stopped there.
+  [[nodiscard]] bool help() const noexcept { return help_; }
 
  private:
   friend Args parse(const Table& table, int argc, const char* const* argv,
@@ -106,20 +109,24 @@ class Args {
   template <typename T>
   [[nodiscard]] T number(std::string_view name, Kind kind) const;
   std::vector<Slot> slots_;
+  bool help_ = false;
 };
 
 /// Parse argv[first..argc) against `table`. Throws UsageError on bad
 /// input, std::logic_error on a malformed table (e.g. a default that its
-/// own flag would refuse).
+/// own flag would refuse, or a declared `--help`). A `--help` flag stops
+/// parsing: the rest of argv is not read and Args::help() is set.
 [[nodiscard]] Args parse(const Table& table, int argc,
                          const char* const* argv, int first = 1);
 
 /// The usage text generated from `table`: one line per flag with its
-/// value shape, help, range, choices and default.
+/// value shape, help, range, choices and default, then the built-in
+/// `--help`.
 [[nodiscard]] std::string usage(std::string_view program, const Table& table);
 
 /// parse(), but bad input prints `<program>: <message>` and the usage text
-/// on stderr and exits 2.
+/// on stderr and exits 2, and `--help` prints the usage text on stdout and
+/// exits 0.
 Args parse_or_exit(std::string_view program, const Table& table, int argc,
                    const char* const* argv, int first = 1);
 

@@ -2,8 +2,9 @@
 //
 // A FaultPlan is a seeded schedule of injection points the runner consults
 // while executing trials: throw an exception before the attack phase,
-// corrupt a pooled machine's physical memory so the post-reset() digest
-// check trips, stall the simulated clock past the trial's cycle budget, or
+// corrupt a pooled machine's physical memory outside the copy-on-write log
+// (mem::PhysicalMemory::corrupt_frame_for_test), so reset() cannot restore
+// it and the post-reset() digest check trips, stall the simulated clock past the trial's cycle budget, or
 // sleep the host thread past its wall-clock watchdog. Every point is a pure
 // function of (trial index, attempt index), never of scheduling, so a
 // faulted sweep fires the same faults at the same trials whatever --jobs

@@ -158,8 +158,7 @@ int MemorySystem::cache_access(std::uint64_t paddr, AccessResult& out) {
   // MDS-style sampling sees realistic in-flight bytes.
   const std::uint64_t line_base = paddr & ~(Cache::kLineBytes - 1);
   std::uint8_t line[LineFillBuffer::kLineBytes];
-  for (std::size_t i = 0; i < LineFillBuffer::kLineBytes; ++i)
-    line[i] = phys_.read8(line_base + i);
+  phys_.read_bytes(line_base, line);
   lfb_.record(line_base, line);
   return cfg_.dram_latency + jitter();
 }

@@ -31,17 +31,30 @@ std::vector<KernelSymbol> default_symbols() {
 
 }  // namespace
 
+const std::shared_ptr<const mem::FrameImage>& kernel_image() {
+  // Give the image recognisable content so Meltdown reads return real
+  // bytes: "kernel" and the page number at the start of every page.
+  // Deliberately independent of seed, key and defense, so one image serves
+  // every machine and reseed() can move it without touching memory.
+  static const std::shared_ptr<const mem::FrameImage> image = [] {
+    std::vector<std::uint8_t> bytes(kKernelImageBytes);
+    for (std::uint64_t off = 0; off < kKernelImageBytes; off += 4096) {
+      const std::uint64_t word = 0x6b65726e656c0000ull | (off >> 12);
+      for (int i = 0; i < 8; ++i)
+        bytes[off + i] = static_cast<std::uint8_t>(word >> (8 * i));
+    }
+    return std::make_shared<const mem::FrameImage>(
+        kImagePhysBase / mem::kFrameBytes, std::move(bytes));
+  }();
+  return image;
+}
+
 KernelLayout::KernelLayout(mem::PhysicalMemory& phys,
                            const KernelOptions& opts)
     : phys_(phys), opts_(opts), image_pa_(kImagePhysBase),
       dummy_pa_(kDummyPhysBase) {
   derive_layout();
-
-  // Give the image recognisable content so Meltdown reads return real
-  // bytes. Deliberately seed-independent: reseed() can move the image
-  // without touching physical memory.
-  for (std::uint64_t off = 0; off < kKernelImageBytes; off += 4096)
-    phys_.write64(image_pa_ + off, 0x6b65726e656c0000ull | (off >> 12));
+  phys_.attach_base(kernel_image());
 }
 
 bool KernelLayout::reseed(std::uint64_t seed) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +38,11 @@ struct KernelOptions {
   std::uint64_t seed = 0x4a51c0deULL;  // overwritten by Machine
 };
 
+/// The kernel image's bytes at its fixed physical base: one process-wide
+/// immutable image, built on first use (thread-safe) and attached by every
+/// KernelLayout as its memory's copy-on-write base.
+[[nodiscard]] const std::shared_ptr<const mem::FrameImage>& kernel_image();
+
 /// One synthetic kernel symbol (for the FGKASLR demonstration).
 struct KernelSymbol {
   std::string name;
@@ -46,6 +52,7 @@ struct KernelSymbol {
 
 class KernelLayout {
  public:
+  /// Attaches kernel_image() to `phys` as its base; writes nothing.
   KernelLayout(mem::PhysicalMemory& phys, const KernelOptions& opts);
 
   [[nodiscard]] std::uint64_t kernel_base() const noexcept { return base_; }
@@ -59,7 +66,7 @@ class KernelLayout {
 
   /// Re-derive the seed-dependent layout (KASLR slot, FGKASLR shuffle)
   /// exactly as construction with opts.seed = seed would — without
-  /// rewriting the image bytes, which are seed-independent (the trial reset
+  /// touching the image bytes, which are seed-independent (the trial reset
   /// path restores them through PhysicalMemory::reset). Clears any planted
   /// secret. Returns true when the image moved to a different slot, i.e.
   /// when install() must be replayed into freshly unmapped views.

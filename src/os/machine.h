@@ -66,9 +66,10 @@ class Machine {
   explicit Machine(const MachineOptions& opts);
 
   /// Capture the machine's current memory contents as the baseline that
-  /// reset() restores. O(1) — dirty tracking starts here; nothing is copied
-  /// until frames/sets are actually written. Call once after construction
-  /// (and any shared setup all trials should see), then reset() per trial.
+  /// reset() restores. O(1) on a fresh machine — dirty tracking starts
+  /// here; nothing is copied or hashed until frames/sets are written. Call
+  /// once after construction (and any shared setup all trials should see),
+  /// then reset() per trial.
   void snapshot();
 
   /// The trial fast path: restore the snapshot and return every
@@ -84,10 +85,11 @@ class Machine {
     return mem_->snapshotted();
   }
 
-  /// Digest of the architectural memory state right now; snapshot() caches
+  /// Digest of the architectural memory state right now; snapshot() records
   /// the baseline value so the runner's fault layer can compare the two
   /// after every reset() and quarantine a machine whose snapshot has
-  /// silently drifted. Full-frame scan — opt-in per trial, not free.
+  /// silently drifted. Costs O(private frames): the shared kernel image's
+  /// share is precomputed, so a clean reset machine hashes nothing.
   [[nodiscard]] std::uint64_t state_digest() const noexcept {
     return mem_->state_digest();
   }

@@ -102,9 +102,10 @@ struct RunSpec {
   double trial_wall_budget = 0.0;
   /// Compare each pooled machine's post-reset() state digest against its
   /// snapshot baseline; a mismatch quarantines the machine (kResetDrift)
-  /// and the retry falls back to fresh construction. Costs a full frame
-  /// scan per trial, so off by default — forced on while a fault plan is
-  /// active (corruption injection is pointless unverified).
+  /// and the retry falls back to fresh construction. Costs O(private
+  /// frames) per trial — nothing on a clean reset machine — but stays off
+  /// by default; forced on while a fault plan is active (corruption
+  /// injection is pointless unverified).
   bool verify_reset = false;
   /// fault::FaultPlan spec ("throw@2;corrupt@5;stall@8", see fault/fault.h)
   /// injected into this run's trials. Empty = no injection.

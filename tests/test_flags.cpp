@@ -224,8 +224,24 @@ TEST(Flags, UsageIsGeneratedFromTheTable) {
             "  --noise WORD    profile (one of: off, on; default off)\n"
             "  --defense TEXT  spec (repeatable)\n"
             "  --verify        check bytes\n"
-            "  DIR             plot directory\n");
-  EXPECT_EQ(usage("bare", {}), "usage: bare\n");
+            "  DIR             plot directory\n"
+            "  --help          print this text and exit\n");
+  EXPECT_EQ(usage("bare", {}),
+            "usage: bare [flags]\n"
+            "  --help  print this text and exit\n");
+}
+
+TEST(Flags, HelpIsBuiltInAndStopsParsing) {
+  const Args a = parse_words(every_kind(), {"--count", "4", "--help",
+                                            "--bogus", "--count", "x"});
+  EXPECT_TRUE(a.help());
+  EXPECT_EQ(a.integer("--count"), 4);
+  EXPECT_FALSE(parse_words(every_kind(), {"--on"}).help());
+  // Bad input before --help is still refused.
+  EXPECT_EQ(error_of(every_kind(), {"--bogus", "--help"}),
+            "unknown flag '--bogus'");
+  // --help is a flag, not an operand, and no table may redeclare it.
+  EXPECT_THROW((void)parse_words({{.name = "--help"}}, {}), std::logic_error);
 }
 
 }  // namespace

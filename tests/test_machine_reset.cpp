@@ -9,7 +9,13 @@
 // through the runner, and the per-trial seed schedule itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -32,7 +38,7 @@ namespace {
 // PhysicalMemory pool semantics: the layer everything above leans on.
 // ---------------------------------------------------------------------------
 
-constexpr std::uint64_t kFrame = mem::PhysicalMemory::kFrameSize;
+constexpr std::uint64_t kFrame = mem::kFrameBytes;
 
 TEST(PhysMemPool, UnwrittenFramesReadZero) {
   mem::PhysicalMemory pm;
@@ -85,27 +91,55 @@ TEST(PhysMemPool, DirtyFrameCountingIsPerFrame) {
   EXPECT_EQ(pm.dirty_frames(), 0u);
 }
 
+/// A small shared image: `frames` frames from frame number `first`, each
+/// filled with a per-frame byte pattern.
+std::shared_ptr<const mem::FrameImage> test_image(std::uint64_t first,
+                                                  std::size_t frames) {
+  std::vector<std::uint8_t> bytes(frames * kFrame);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>((i * 131) ^ (i / kFrame));
+  return std::make_shared<const mem::FrameImage>(first, std::move(bytes));
+}
+
 TEST(PhysMemPool, FreedSlotsAreReusedAndZeroed) {
+  // Frames 1..8 are new each trial, 16..23 belong to the shared base and
+  // frame 0 is a private pre-snapshot frame: every kind of first write
+  // since the snapshot (fresh zeroed slot, copy of a base frame, copy of a
+  // private frame) takes an arena slot that reset() must hand back.
+  const auto image = test_image(16, 8);
   mem::PhysicalMemory pm;
+  pm.attach_base(image);
   pm.write8(0x0, 1);
   pm.snapshot();
 
-  // Repeated trial cycles allocating the same transient frames: the arena
-  // must stop growing after the first cycle (slot reuse), and every reused
-  // slot must read as zero-filled.
+  // Repeated trial cycles writing the same frames: the arena must stop
+  // growing after the first cycle (slot reuse), every reused slot must read
+  // as zero-filled, and every base or pre-snapshot frame as its baseline.
   std::size_t pool_after_first = 0;
   for (int cycle = 0; cycle < 4; ++cycle) {
+    EXPECT_EQ(pm.read8(0x0), 1u) << "cycle " << cycle;
+    pm.write8(0x0, 0xee);
     for (std::uint64_t f = 1; f <= 8; ++f) {
       EXPECT_EQ(pm.read64(f * kFrame + 8), 0u)
           << "reused slot leaked bytes (cycle " << cycle << " frame " << f
           << ")";
       pm.write64(f * kFrame + 8, 0xf00d0000ull + f);
+      const std::uint64_t b = (15 + f) * kFrame;
+      const std::uint8_t* base = image->frame(b / kFrame);
+      EXPECT_EQ(pm.read_bytes(b, 8), std::vector<std::uint8_t>(base, base + 8))
+          << "base frame " << b / kFrame << " not restored (cycle " << cycle
+          << ")";
+      pm.write64(b, 0xba5e0000ull + f);
     }
+    EXPECT_EQ(pm.dirty_frames(), 17u);
     pm.reset();
+    EXPECT_EQ(pm.private_frames(), 1u) << "only frame 0 stays private";
     if (cycle == 0) pool_after_first = pm.pool_frames();
     EXPECT_EQ(pm.pool_frames(), pool_after_first)
         << "arena grew on cycle " << cycle;
   }
+  // Frame 0's snapshot version and its write copy, plus the 16 others.
+  EXPECT_EQ(pool_after_first, 18u);
 }
 
 TEST(PhysMemPool, ResetBeforeSnapshotThrows) {
@@ -408,6 +442,204 @@ TEST(MachineReset, SeedZeroRederivesThePresetSeed) {
   m.snapshot();
   m.reset(0);
   EXPECT_EQ(m.config().seed, fresh.config().seed);
+}
+
+// ---------------------------------------------------------------------------
+// Shared copy-on-write image: memories that share one immutable base must
+// behave exactly as if each held its own copy, and the incremental digest
+// must equal a full scan of what the memory reads back.
+// ---------------------------------------------------------------------------
+
+/// The digest recomputed from scratch: every live frame's bytes, read back
+/// through the public interface and hashed.
+std::uint64_t full_scan_digest(const mem::PhysicalMemory& pm) {
+  std::uint64_t acc = 0;
+  for (const std::uint64_t f : pm.live_frames())
+    acc += mem::PhysicalMemory::frame_hash(f, pm.read_bytes(f * kFrame, kFrame)
+                                                  .data());
+  return acc;
+}
+
+/// A reference PhysicalMemory: plain maps of frame number → bytes, with the
+/// documented snapshot/reset/corrupt semantics spelled out directly.
+struct MemoryModel {
+  using Frame = std::array<std::uint8_t, kFrame>;
+  std::map<std::uint64_t, Frame> live, saved;
+  std::set<std::uint64_t> written;  // frames written since the snapshot
+  bool snapshotted = false;
+
+  void write8(std::uint64_t paddr, std::uint8_t v) {
+    live[paddr / kFrame][paddr % kFrame] = v;  // a new frame starts zeroed
+    written.insert(paddr / kFrame);
+  }
+  void snapshot() {
+    saved = live;
+    written.clear();
+    snapshotted = true;
+  }
+  void reset() {
+    live = saved;
+    written.clear();
+  }
+  void corrupt() {
+    if (live.empty()) return;
+    const std::uint64_t victim = live.begin()->first;
+    live[victim][0] ^= 0xA5;
+    // A frame the trial did not write is its own snapshot version, so the
+    // flip survives reset(); a written frame's snapshot version does not
+    // carry it.
+    if (snapshotted && written.count(victim) == 0) saved[victim][0] ^= 0xA5;
+  }
+};
+
+void expect_matches(const mem::PhysicalMemory& pm, const MemoryModel& model,
+                    const std::string& what) {
+  std::vector<std::uint64_t> frames;
+  for (const auto& [f, bytes] : model.live) {
+    frames.push_back(f);
+    ASSERT_EQ(pm.read_bytes(f * kFrame, kFrame),
+              std::vector<std::uint8_t>(bytes.begin(), bytes.end()))
+        << what << ": frame " << f;
+  }
+  ASSERT_EQ(pm.live_frames(), frames) << what;
+  ASSERT_EQ(pm.digest(), full_scan_digest(pm)) << what;
+}
+
+TEST(SharedImage, IncrementalDigestEqualsFullScanUnderRandomOps) {
+  // Frames 8..23 are the shared base; writes land on frames 0..39, so they
+  // hit base frames, frames outside it and frame-straddling words.
+  const auto image = test_image(8, 16);
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    std::mt19937_64 rng(seed);
+    mem::PhysicalMemory pm[2];
+    MemoryModel model[2];
+    for (int i = 0; i < 2; ++i) {
+      pm[i].attach_base(image);
+      for (std::uint64_t f = 8; f < 24; ++f) {
+        const std::uint8_t* bytes = image->frame(f);
+        std::copy(bytes, bytes + kFrame, model[i].live[f].begin());
+      }
+    }
+    for (int step = 0; step < 600; ++step) {
+      const int i = static_cast<int>(rng() % 2);
+      const std::uint64_t paddr = rng() % (40 * kFrame);
+      const std::string what = "seed " + std::to_string(seed) + " step " +
+                               std::to_string(step) + " memory " +
+                               std::to_string(i);
+      switch (rng() % 20) {
+        case 0:
+          pm[i].snapshot();
+          model[i].snapshot();
+          break;
+        case 1:
+        case 2:
+          if (!model[i].snapshotted) {
+            EXPECT_THROW(pm[i].reset(), std::logic_error) << what;
+            break;
+          }
+          pm[i].reset();
+          model[i].reset();
+          break;
+        case 3:
+          pm[i].corrupt_frame_for_test();
+          model[i].corrupt();
+          break;
+        default:
+          if (rng() % 2 == 0) {
+            const auto v = static_cast<std::uint8_t>(rng());
+            pm[i].write8(paddr, v);
+            model[i].write8(paddr, v);
+          } else {
+            // Bias towards the last bytes of a frame: straddling words.
+            const std::uint64_t at =
+                rng() % 4 == 0 ? paddr | (kFrame - 4) : paddr;
+            const std::uint64_t v = rng();
+            pm[i].write64(at, v);
+            for (std::uint64_t b = 0; b < 8; ++b)
+              model[i].write8(at + b, static_cast<std::uint8_t>(v >> (8 * b)));
+          }
+      }
+      expect_matches(pm[0], model[0], what);
+      expect_matches(pm[1], model[1], what);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SharedImage, WritesStayPrivateToTheirMachine) {
+  const auto& image = os::kernel_image();
+  const std::uint64_t pa = image->first_frame() * kFrame;  // "kernel" + page 0
+  const std::vector<std::uint8_t> original(image->frame(image->first_frame()),
+                                           image->frame(image->first_frame()) +
+                                               kFrame);
+  const auto page = [&](os::Machine& m) {
+    return m.memsys().phys().read_bytes(pa, kFrame);
+  };
+  const os::MachineOptions opts{.model = uarch::CpuModel::KabyLakeI7_7700};
+  os::Machine a(opts), b(opts);
+  a.snapshot();
+  b.snapshot();
+
+  a.memsys().phys().write64(pa, 0x1111ull);
+  EXPECT_EQ(page(b), original) << "a's write reached b";
+  b.memsys().phys().write64(pa + 8, 0x2222ull);
+  EXPECT_EQ(a.memsys().phys().read64(pa), 0x1111ull);
+  EXPECT_EQ(a.memsys().phys().read64(pa + 8), 0u) << "b's write reached a";
+
+  a.reset(1);
+  EXPECT_EQ(page(a), original);
+  EXPECT_EQ(b.memsys().phys().read64(pa + 8), 0x2222ull) << "a's reset hit b";
+  b.reset(1);
+  EXPECT_EQ(page(b), original);
+
+  // Secrets are planted by the same copy-on-write path.
+  const std::vector<std::uint8_t> secret = {0xde, 0xad, 0xbe, 0xef};
+  const std::uint64_t va = a.plant_kernel_secret(secret);
+  EXPECT_EQ(a.peek_bytes(va, secret.size()), secret);
+  EXPECT_NE(b.peek_bytes(va, secret.size()), secret);
+
+  // The image itself never changed: a machine built now reads it intact.
+  os::Machine c(opts);
+  EXPECT_EQ(page(c), original);
+  EXPECT_EQ(c.state_digest(), image->digest());
+}
+
+TEST(SharedImage, FreshMachineOwnsNoPrivateFrames) {
+  // Construction attaches the shared image and copies nothing, so snapshot()
+  // hashes nothing: the baseline is the image's own precomputed digest.
+  const runner::RunSpec spec = fig1_spec();
+  const std::uint64_t seed = runner::trial_seed(spec.base_seed, 0);
+  os::Machine m(runner::machine_options(spec, seed));
+  m.snapshot();
+  const mem::PhysicalMemory& phys = m.memsys().phys();
+  EXPECT_EQ(phys.private_frames(), 0u);
+  EXPECT_EQ(phys.pool_frames(), 0u);
+  EXPECT_EQ(phys.allocated_frames(), os::kernel_image()->frames());
+  EXPECT_EQ(m.baseline_digest(), os::kernel_image()->digest());
+
+  // A trial privatises the frames it writes; reset() hands them all back.
+  (void)runner::run_trial(spec, seed, m);
+  EXPECT_GT(phys.private_frames(), 0u);
+  m.reset(seed);
+  EXPECT_EQ(phys.private_frames(), 0u);
+  EXPECT_EQ(m.state_digest(), m.baseline_digest());
+}
+
+TEST(SharedImage, ConcurrentVerifiedRunMatchesOneWorker) {
+  // Four workers construct, verify and reset pooled machines over the one
+  // image at once; the result must not depend on the worker count.
+  runner::RunSpec spec = fig1_spec();
+  spec.trials = 6;
+  spec.collect_trace = false;
+  spec.verify_reset = true;
+  const runner::RunResult one = runner::run(spec, /*jobs=*/1);
+  const runner::RunResult four = runner::run(spec, /*jobs=*/4);
+  EXPECT_EQ(one.completed, one.attempted);
+  EXPECT_EQ(four.completed, four.attempted);
+  EXPECT_EQ(one.quarantined + four.quarantined, 0u);
+  ASSERT_EQ(one.trials.size(), four.trials.size());
+  for (std::size_t i = 0; i < one.trials.size(); ++i)
+    expect_identical(one.trials[i], four.trials[i]);
 }
 
 }  // namespace
